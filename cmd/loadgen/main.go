@@ -22,13 +22,12 @@
 // The report (per-tenant and total goodput, latency quantiles, shed ratios)
 // prints as text and, with -json, lands in a benchcmp-comparable file.
 // Acceptance gates for CI: -max-transport-errors and -min-goodput, or
-// TRACELOAD_STRICT=1 to require zero transport and protocol errors and
+// BENCH_STRICT=1 to require zero transport and protocol errors and
 // positive goodput.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -36,6 +35,7 @@ import (
 	"net/http"
 	"os"
 
+	"loopsched/internal/bench"
 	"loopsched/internal/loadgen"
 	"loopsched/internal/loopd"
 )
@@ -160,17 +160,12 @@ func main() {
 
 	printReport(rep)
 	if *jsonOut != "" {
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(*jsonOut, append(buf, '\n'), 0o644); err != nil {
+		if err := bench.WriteJSON(*jsonOut, rep); err != nil {
 			log.Fatal(err)
 		}
 		log.Printf("report written to %s", *jsonOut)
 	}
 
-	strict := os.Getenv("TRACELOAD_STRICT") == "1"
 	fail := false
 	if *maxTransport >= 0 && rep.Total.TransportErrors > *maxTransport {
 		log.Printf("FAIL: %d transport errors > limit %d", rep.Total.TransportErrors, *maxTransport)
@@ -180,7 +175,7 @@ func main() {
 		log.Printf("FAIL: goodput %.1f rps < limit %.1f", rep.Total.GoodputRPS, *minGoodput)
 		fail = true
 	}
-	if strict {
+	if bench.Strict() {
 		if rep.Total.TransportErrors > 0 {
 			log.Printf("FAIL (strict): %d transport errors", rep.Total.TransportErrors)
 			fail = true

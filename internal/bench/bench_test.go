@@ -375,21 +375,25 @@ func TestJobWorkloadRegistry(t *testing.T) {
 
 func TestScenarioRegistry(t *testing.T) {
 	names := ScenarioNames()
-	if len(names) != 13 {
+	if len(names) != 14 {
 		t.Fatalf("scenario registry: %v", names)
 	}
-	for _, want := range []string{"table1", "mpdata", "linreg", "ablation", "multitenant", "burst", "skew", "shardburst", "pipeline", "fairshare", "traceoverhead", "submitpath", "overload"} {
+	for _, want := range []string{"table1", "mpdata", "linreg", "ablation", "multitenant", "burst", "skew", "shardburst", "pipeline", "fairshare", "traceoverhead", "submitpath", "overload", "checkpoint"} {
 		if _, ok := scenarios[want]; !ok {
 			t.Errorf("scenario %q not registered", want)
 		}
 	}
-	if err := RunScenario("bogus", &bytes.Buffer{}); err == nil {
+	if _, err := RunScenario("bogus", &bytes.Buffer{}, false); err == nil {
 		t.Errorf("unknown scenario accepted")
 	}
 	// The multitenant scenario is cheap enough to smoke-run here.
 	var buf bytes.Buffer
-	if err := RunScenario("multitenant", &buf); err != nil {
+	rep, err := RunScenario("multitenant", &buf, false)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if _, ok := rep.(MultitenantResult); !ok {
+		t.Errorf("multitenant scenario returned %T, want MultitenantResult", rep)
 	}
 	if !strings.Contains(buf.String(), "Multi-tenant") {
 		t.Errorf("scenario report:\n%s", buf.String())
@@ -468,7 +472,7 @@ func TestShardBurstJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "BENCH_shardburst.json")
-	if err := WriteShardBurstJSON(path, rep); err != nil {
+	if err := WriteJSON(path, rep); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -493,14 +497,14 @@ func TestShardBurstAcceptance(t *testing.T) {
 	// The PR acceptance criterion — n-shard aggregate throughput >= 1.5x the
 	// 1-shard configuration — holds in the dispatcher-bound regime on
 	// machines with enough parallelism. It is asserted only when
-	// SHARDBURST_STRICT=1 (set on capable CI runners): on small or
+	// BENCH_STRICT=1 (set on capable CI runners): on small or
 	// oversubscribed boxes the single dispatcher is not the bottleneck and
 	// the ratio is noise.
 	if testing.Short() {
 		t.Skip("timing comparison; run without -short")
 	}
-	if os.Getenv("SHARDBURST_STRICT") == "" {
-		t.Skip("set SHARDBURST_STRICT=1 to assert the 1.5x throughput criterion (needs a dedicated 8+ core machine)")
+	if !Strict() {
+		t.Skip("set BENCH_STRICT=1 to assert the 1.5x throughput criterion (needs a dedicated 8+ core machine)")
 	}
 	if runtime.GOMAXPROCS(0) < 8 {
 		t.Skipf("only %d procs; the criterion is defined for 8+ core runners", runtime.GOMAXPROCS(0))

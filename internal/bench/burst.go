@@ -83,7 +83,6 @@ func RunBurst(opt BurstOptions) (BurstResult, error) {
 	s := jobs.New(jobs.Config{
 		Workers:        opt.Workers,
 		DisableElastic: opt.DisableElastic,
-		LockOSThread:   LockThreads,
 		Name:           "burst",
 	})
 	defer s.Close()
@@ -239,7 +238,6 @@ func RunSkew(opt SkewOptions) (SkewResult, error) {
 	s := jobs.New(jobs.Config{
 		Workers:        opt.Workers,
 		DisableElastic: opt.DisableElastic,
-		LockOSThread:   LockThreads,
 		Name:           "skew",
 	})
 	defer s.Close()

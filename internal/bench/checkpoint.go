@@ -114,10 +114,9 @@ func runCheckpointPhase(opt CheckpointOptions, store jobs.CheckpointStore, churn
 		tracer = trace.NewTracer(0)
 	}
 	s := jobs.New(jobs.Config{
-		Workers:      opt.Workers,
-		LockOSThread: LockThreads,
-		Tracer:       tracer,
-		Checkpoints:  store,
+		Workers:     opt.Workers,
+		Tracer:      tracer,
+		Checkpoints: store,
 	})
 	defer s.Close()
 
@@ -303,14 +302,4 @@ func WriteCheckpointBench(w io.Writer, rep CheckpointReport) error {
 		rep.StoreOverheadRatio, rep.SuspendResumeOverheadRatio)
 	fmt.Fprintf(w, "raw WAL append: %.0f ns per snapshot\n", rep.CheckpointWriteNs)
 	return nil
-}
-
-// WriteCheckpointBenchJSON writes the machine-readable artifact tracked by
-// the bench manifest.
-func WriteCheckpointBenchJSON(path string, rep CheckpointReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

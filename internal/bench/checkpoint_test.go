@@ -43,7 +43,7 @@ func TestCheckpointScenarioRuns(t *testing.T) {
 	// The JSON artifact round-trips with the stable field names benchcmp
 	// compares (the overhead ratios and the per-phase throughput).
 	path := filepath.Join(t.TempDir(), "BENCH_checkpoint.json")
-	if err := WriteCheckpointBenchJSON(path, rep); err != nil {
+	if err := WriteJSON(path, rep); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -66,10 +66,10 @@ func TestCheckpointAcceptance(t *testing.T) {
 	// nobody suspends costs at most 5% of makespan, and the churn phase
 	// suspends and resumes every single job with byte-identical reductions
 	// (the phase errors out otherwise). Asserted only with
-	// CHECKPOINT_STRICT=1 on a quiet machine — a 5% makespan band on a
+	// BENCH_STRICT=1 on a quiet machine — a 5% makespan band on a
 	// noisy shared runner measures the neighbours, not the WAL.
-	if os.Getenv("CHECKPOINT_STRICT") == "" {
-		t.Skip("set CHECKPOINT_STRICT=1 to assert the <= 5% durability-overhead criterion (needs a quiet machine)")
+	if !Strict() {
+		t.Skip("set BENCH_STRICT=1 to assert the <= 5% durability-overhead criterion (needs a quiet machine)")
 	}
 	// Longer fleets than the default: at the default ~25ms makespan the
 	// run-to-run scheduler noise is the same order as the 5% band, while the

@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -147,10 +145,9 @@ func RunFairShare(opt FairShareOptions) (FairShareResult, error) {
 			fairTenantA: opt.WeightA,
 			fairTenantB: opt.WeightB,
 		},
-		DisableFair:  opt.DisableFair,
-		LockOSThread: LockThreads,
-		Tracer:       opt.Tracer,
-		Name:         "fairshare",
+		DisableFair: opt.DisableFair,
+		Tracer:      opt.Tracer,
+		Name:        "fairshare",
 	})
 	res := FairShareResult{
 		Policy:  "wfq",
@@ -383,14 +380,4 @@ func WriteFairShare(w io.Writer, rep FairShareReport) error {
 	fmt.Fprintf(w, "\nachieved share within %.1f%% of target (FIFO: %.1f%%); high-priority p95 %.2fx lower than FIFO\n",
 		rep.FairShareError*100, rep.FIFOShareError*100, rep.HighPrioP95Speedup)
 	return nil
-}
-
-// WriteFairShareJSON writes the comparison report to path as indented JSON
-// (the BENCH_fairshare.json artifact).
-func WriteFairShareJSON(path string, rep FairShareReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -39,7 +39,7 @@ func TestFairShareScenarioRuns(t *testing.T) {
 	// The JSON artifact round-trips with the stable field names benchcmp
 	// compares (fair_share_error, high_prio_p95_speedup).
 	path := filepath.Join(t.TempDir(), "BENCH_fairshare.json")
-	if err := WriteFairShareJSON(path, rep); err != nil {
+	if err := WriteJSON(path, rep); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -61,11 +61,11 @@ func TestFairShareAcceptance(t *testing.T) {
 	// The ISSUE 5 acceptance criterion: under saturation with two tenants
 	// at 3:1 weights, the achieved served-work ratio must be within 15% of
 	// 3.0 and the high-priority p95 completion latency at least 2x lower
-	// than the FIFO baseline. Asserted only with FAIRSHARE_STRICT=1 on an
+	// than the FIFO baseline. Asserted only with BENCH_STRICT=1 on an
 	// 8+ core machine (small or shared boxes starve the load generators and
 	// measure scheduler-independent noise); report-only otherwise.
-	if os.Getenv("FAIRSHARE_STRICT") == "" {
-		t.Skip("set FAIRSHARE_STRICT=1 to assert the 3:1-within-15% and 2x high-prio criteria (needs a quiet 8+ core machine)")
+	if !Strict() {
+		t.Skip("set BENCH_STRICT=1 to assert the 3:1-within-15% and 2x high-prio criteria (needs a quiet 8+ core machine)")
 	}
 	if runtime.GOMAXPROCS(0) < 8 {
 		t.Skipf("GOMAXPROCS = %d < 8: the saturation regime needs headroom for the load generators", runtime.GOMAXPROCS(0))

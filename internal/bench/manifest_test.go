@@ -33,8 +33,15 @@ func TestManifestLoads(t *testing.T) {
 				}
 			}
 		}
+		// A cmd/bench entry runs a registered scenario into its
+		// BENCH_<scenario>.json trajectory file.
+		if argv := e.Command("{out}"); e.Dir == "cmd/bench" {
+			if len(argv) < 4 || scenarios[argv[3]] == nil || e.Out != "BENCH_"+argv[3]+".json" {
+				t.Errorf("entry %s: %v does not run a registered scenario into %s", e.Name, argv, e.Out)
+			}
+		}
 	}
-	for _, want := range []string{"shardburst", "pipeline", "fairshare", "traceoverhead", "submitpath", "overload", "traceload"} {
+	for _, want := range []string{"shardburst", "pipeline", "fairshare", "traceoverhead", "submitpath", "overload", "checkpoint", "traceload"} {
 		if byName[want] == nil {
 			t.Errorf("entry %q missing from manifest", want)
 		}

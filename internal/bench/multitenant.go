@@ -225,7 +225,6 @@ func RunMultitenant(opt MultitenantOptions) (MultitenantResult, error) {
 		MaxWorkersPerJob: opt.MaxWorkersPerJob,
 		QueueDepth:       opt.QueueDepth,
 		DisableElastic:   opt.DisableElastic,
-		LockOSThread:     LockThreads,
 		Name:             "multitenant",
 	})
 	res := MultitenantResult{

@@ -1,11 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -448,7 +446,6 @@ func RunOverload(opt OverloadOptions) (OverloadReport, error) {
 		QueueDepth:     opt.QueueDepth,
 		MaxWait:        opt.MaxWait,
 		ShedInfeasible: true,
-		LockOSThread:   LockThreads,
 		Name:           "overload",
 	}
 
@@ -492,7 +489,6 @@ func RunOverload(opt OverloadOptions) (OverloadReport, error) {
 		MaxWait:         opt.MaxWait,
 		BreakerBurnRate: opt.BreakerBurnRate,
 		BreakerCooldown: opt.BreakerCooldown,
-		LockOSThread:    LockThreads,
 		Name:            "overload-breaker",
 	}
 	steady := overloadStream{
@@ -572,14 +568,4 @@ func WriteOverload(w io.Writer, rep OverloadReport) error {
 		rep.Breaker.IsolatedP99Seconds*1e3, rep.Breaker.MixedP99Seconds*1e3,
 		rep.Breaker.GoodP99Ratio, rep.Breaker.AbusiveShed, rep.Breaker.BreakerOpened)
 	return nil
-}
-
-// WriteOverloadJSON writes the report to path as indented JSON (the
-// BENCH_overload.json artifact).
-func WriteOverloadJSON(path string, rep OverloadReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -46,7 +46,7 @@ func TestOverloadScenarioRuns(t *testing.T) {
 	// The JSON artifact round-trips with the stable field names benchcmp
 	// compares (goodput_ratio, the per-phase goodput, the breaker ratio).
 	path := filepath.Join(t.TempDir(), "BENCH_overload.json")
-	if err := WriteOverloadJSON(path, rep); err != nil {
+	if err := WriteJSON(path, rep); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -70,11 +70,11 @@ func TestOverloadAcceptance(t *testing.T) {
 	// submission blocks meaningfully past MaxWait, (c) zero infeasible
 	// jobs are admitted only to miss, and (d) a well-behaved tenant behind
 	// an abusive tenant's open breaker keeps >= 0.9x its isolated p99.
-	// Asserted only with OVERLOAD_STRICT=1 on a quiet multi-core machine
+	// Asserted only with BENCH_STRICT=1 on a quiet multi-core machine
 	// (tail latencies on a 1-2 core box measure OS scheduling, not the
 	// admission policy); report-only otherwise.
-	if os.Getenv("OVERLOAD_STRICT") == "" {
-		t.Skip("set OVERLOAD_STRICT=1 to assert the goodput/bounded-wait/breaker-isolation criteria (needs a quiet multi-core machine)")
+	if !Strict() {
+		t.Skip("set BENCH_STRICT=1 to assert the goodput/bounded-wait/breaker-isolation criteria (needs a quiet multi-core machine)")
 	}
 	if runtime.GOMAXPROCS(0) < 4 {
 		t.Skipf("GOMAXPROCS = %d < 4: the overload regime needs headroom for the load generators", runtime.GOMAXPROCS(0))

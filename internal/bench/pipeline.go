@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"sync"
 	"text/tabwriter"
@@ -146,9 +144,8 @@ func RunPipeline(opt PipelineOptions, dag bool) (PipelineResult, error) {
 	opt.normalize()
 	p := jobs.NewSharded(jobs.ShardedConfig{
 		Config: jobs.Config{
-			Workers:      opt.Workers,
-			LockOSThread: LockThreads,
-			Name:         "pipeline",
+			Workers: opt.Workers,
+			Name:    "pipeline",
 		},
 		Shards: opt.Shards,
 	})
@@ -257,14 +254,4 @@ func WritePipeline(w io.Writer, rep PipelineReport) error {
 	fmt.Fprintf(w, "\nDAG submission makespan is %+.2f%% vs awaiting each stage (speedup %.2fx; acceptance: <= 5%% overhead)\n",
 		rep.OverheadPercent, rep.Speedup)
 	return nil
-}
-
-// WritePipelineJSON writes the comparison report to path as indented JSON
-// (the BENCH_pipeline.json artifact).
-func WritePipelineJSON(path string, rep PipelineReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

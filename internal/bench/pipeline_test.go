@@ -2,7 +2,6 @@ package bench
 
 import (
 	"io"
-	"os"
 	"testing"
 )
 
@@ -35,7 +34,7 @@ func TestPipelineScenarioRegistered(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full quick scenario; skipped under -short")
 	}
-	if err := RunScenario("pipeline", io.Discard); err != nil {
+	if _, err := RunScenario("pipeline", io.Discard, false); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -45,13 +44,13 @@ func TestPipelineOverheadAcceptance(t *testing.T) {
 	// dependencies costs at most 5% makespan versus the client awaiting
 	// each stage — in practice the DAG should win, because the release
 	// happens inside the completing join wave instead of bouncing through
-	// a client goroutine. Asserted only when PIPELINE_STRICT=1: on small or
+	// a client goroutine. Asserted only when BENCH_STRICT=1: on small or
 	// oversubscribed boxes the comparison is noise.
 	if testing.Short() {
 		t.Skip("timing comparison; run without -short")
 	}
-	if os.Getenv("PIPELINE_STRICT") == "" {
-		t.Skip("set PIPELINE_STRICT=1 to assert the <=5% overhead criterion (needs a quiet multi-core machine)")
+	if !Strict() {
+		t.Skip("set BENCH_STRICT=1 to assert the <=5% overhead criterion (needs a quiet multi-core machine)")
 	}
 	var best float64 = 1e9
 	for attempt := 0; attempt < 3; attempt++ {

@@ -6,8 +6,10 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"runtime"
 	"sort"
 	"time"
@@ -22,9 +24,11 @@ import (
 // Factory builds a scheduler with p workers.
 type Factory func(p int) sched.Scheduler
 
-// LockThreads controls whether benchmark-constructed schedulers lock their
+// LockThreads controls whether the schedulers of the paper's experiments
+// (this registry's core-loop runtimes and the ablation variants) lock their
 // workers to OS threads. It defaults to true (benchmark fidelity); the test
-// suite turns it off because it creates and destroys many teams.
+// suite turns it off because it creates and destroys many teams. The
+// jobs-layer scenarios never lock: their workers park between jobs.
 var LockThreads = true
 
 // registry maps scheduler names to factories.
@@ -79,114 +83,80 @@ func NewScheduler(name string, p int) (sched.Scheduler, error) {
 	return f(p), nil
 }
 
-// Scenario is a named experiment runnable with small default options; it
-// writes its report through the package's report path. The cmd tools expose
-// richer per-scenario flags; scenarios exist so that callers (cmd/loopd, the
-// test suite, quick smoke runs) can trigger any experiment by name.
-type Scenario func(w io.Writer) error
+// Scenario is a named experiment. With full set it runs at the
+// experiment's full-size defaults (zero options: each Run* picks its own
+// sizes), as cmd/bench runs it; otherwise it runs small smoke-size options,
+// as the test suite does. It writes its text report to w and returns the
+// report value, the payload of the scenario's BENCH_<name>.json.
+type Scenario func(w io.Writer, full bool) (any, error)
 
-// scenarios maps scenario names to quick-run implementations.
+// scenario adapts a Run/Write pair and its smoke-size options to a Scenario.
+func scenario[O, R any](quick O, run func(O) (R, error), write func(io.Writer, R) error) Scenario {
+	return func(w io.Writer, full bool) (any, error) {
+		var opt O
+		if !full {
+			opt = quick
+		}
+		rep, err := run(opt)
+		if err != nil {
+			return nil, err
+		}
+		return rep, write(w, rep)
+	}
+}
+
+// elasticRigid pairs the elastic and rigid runs of a comparison scenario.
+type elasticRigid[R any] struct {
+	Elastic R `json:"elastic"`
+	Rigid   R `json:"rigid"`
+}
+
+// elasticVsRigid adapts a RunXComparison/WriteX pair to a Scenario.
+func elasticVsRigid[O, R any](quick O, run func(O) (R, R, error), write func(io.Writer, R, R) error) Scenario {
+	return scenario(quick,
+		func(opt O) (elasticRigid[R], error) {
+			e, r, err := run(opt)
+			return elasticRigid[R]{e, r}, err
+		},
+		func(w io.Writer, rep elasticRigid[R]) error { return write(w, rep.Elastic, rep.Rigid) })
+}
+
+// scenarios maps scenario names to their runs.
 var scenarios = map[string]Scenario{
-	"table1": func(w io.Writer) error {
-		rows, err := Table1(BurdenOptions{Points: 6, Reps: 2, MaxTotal: 2 * time.Millisecond})
-		if err != nil {
-			return err
+	"table1": scenario(BurdenOptions{Points: 6, Reps: 2, MaxTotal: 2 * time.Millisecond}, Table1, WriteTable1),
+	"mpdata": scenario(MPDATAOptions{Steps: 3, Reps: 1, Rows: 20, Cols: 20, ThreadCounts: shortThreadCounts()},
+		RunMPDATA, WriteMPDATA),
+	"linreg": scenario(LinregOptions{Points: 1 << 16, Reps: 1, ThreadCounts: shortThreadCounts()}, RunLinreg,
+		func(w io.Writer, res LinregResult) error { return WriteLinreg(w, res, "a") }),
+	"ablation": func(w io.Writer, full bool) (any, error) {
+		var opt AblationOptions
+		if !full {
+			opt = AblationOptions{LoopIters: 64, IterNs: 50, Loops: 20, Reps: 1, Fanouts: []int{2, 4}}
 		}
-		return WriteTable1(w, rows)
-	},
-	"mpdata": func(w io.Writer) error {
-		res, err := RunMPDATA(MPDATAOptions{Steps: 3, Reps: 1, Rows: 20, Cols: 20, ThreadCounts: shortThreadCounts()})
-		if err != nil {
-			return err
-		}
-		return WriteMPDATA(w, res)
-	},
-	"linreg": func(w io.Writer) error {
-		res, err := RunLinreg(LinregOptions{Points: 1 << 16, Reps: 1, ThreadCounts: shortThreadCounts()})
-		if err != nil {
-			return err
-		}
-		return WriteLinreg(w, res, "a")
-	},
-	"ablation": func(w io.Writer) error {
-		opt := AblationOptions{LoopIters: 64, IterNs: 50, Loops: 20, Reps: 1, Fanouts: []int{2, 4}}
 		rows, err := RunAblation(opt)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		return WriteAblation(w, rows, opt)
+		return rows, WriteAblation(w, rows, opt)
 	},
-	"multitenant": func(w io.Writer) error {
-		res, err := RunMultitenant(MultitenantOptions{Tenants: 8, JobsPerTenant: 10, Params: JobParams{N: 2048}})
-		if err != nil {
-			return err
-		}
-		return WriteMultitenant(w, res)
-	},
-	"burst": func(w io.Writer) error {
-		elastic, rigid, err := RunBurstComparison(BurstOptions{Workers: 4, BigN: 4096, BurstJobs: 8, BurstN: 256, IterNs: 1500})
-		if err != nil {
-			return err
-		}
-		return WriteBurst(w, elastic, rigid)
-	},
-	"skew": func(w io.Writer) error {
-		elastic, rigid, err := RunSkewComparison(SkewOptions{Workers: 4, N: 4096, Jobs: 3, IterNs: 300})
-		if err != nil {
-			return err
-		}
-		return WriteSkew(w, elastic, rigid)
-	},
-	"shardburst": func(w io.Writer) error {
-		rep, err := RunShardBurstComparison(ShardBurstOptions{
-			Workers: 4, Shards: 2, Tenants: 8, JobsPerTenant: 10, N: 256,
-		})
-		if err != nil {
-			return err
-		}
-		return WriteShardBurst(w, rep)
-	},
-	"fairshare": func(w io.Writer) error {
-		rep, err := RunFairShareComparison(FairShareOptions{
-			Workers: 4, Duration: 250 * time.Millisecond, N: 1024,
-		})
-		if err != nil {
-			return err
-		}
-		return WriteFairShare(w, rep)
-	},
-	"overload": func(w io.Writer) error {
-		rep, err := RunOverload(OverloadOptions{
-			Workers: 4, Duration: 200 * time.Millisecond, N: 1024,
-		})
-		if err != nil {
-			return err
-		}
-		return WriteOverload(w, rep)
-	},
-	"traceoverhead": func(w io.Writer) error {
-		rep, err := RunTraceOverhead(quickTraceOverheadOptions())
-		if err != nil {
-			return err
-		}
-		return WriteTraceOverhead(w, rep)
-	},
-	"submitpath": func(w io.Writer) error {
-		res, err := RunSubmitPath(SubmitPathOptions{Workers: 2, Jobs: 2000, Warmup: 200})
-		if err != nil {
-			return err
-		}
-		return WriteSubmitPath(w, res)
-	},
-	"pipeline": func(w io.Writer) error {
-		rep, err := RunPipelineComparison(PipelineOptions{
-			Workers: 4, Shards: 2, Chains: 4, Stages: 2, FanOut: 2, N: 1024, Rounds: 2,
-		})
-		if err != nil {
-			return err
-		}
-		return WritePipeline(w, rep)
-	},
+	"multitenant": scenario(MultitenantOptions{Tenants: 8, JobsPerTenant: 10, Params: JobParams{N: 2048}},
+		RunMultitenant, WriteMultitenant),
+	"burst": elasticVsRigid(BurstOptions{Workers: 4, BigN: 4096, BurstJobs: 8, BurstN: 256, IterNs: 1500},
+		RunBurstComparison, WriteBurst),
+	"skew": elasticVsRigid(SkewOptions{Workers: 4, N: 4096, Jobs: 3, IterNs: 300},
+		RunSkewComparison, WriteSkew),
+	"shardburst": scenario(ShardBurstOptions{Workers: 4, Shards: 2, Tenants: 8, JobsPerTenant: 10, N: 256},
+		RunShardBurstComparison, WriteShardBurst),
+	"fairshare": scenario(FairShareOptions{Workers: 4, Duration: 250 * time.Millisecond, N: 1024},
+		RunFairShareComparison, WriteFairShare),
+	"overload": scenario(OverloadOptions{Workers: 4, Duration: 200 * time.Millisecond, N: 1024},
+		RunOverload, WriteOverload),
+	"traceoverhead": scenario(quickTraceOverheadOptions(), RunTraceOverhead, WriteTraceOverhead),
+	"submitpath":    scenario(SubmitPathOptions{Workers: 2, Jobs: 2000, Warmup: 200}, RunSubmitPath, WriteSubmitPath),
+	"pipeline": scenario(PipelineOptions{Workers: 4, Shards: 2, Chains: 4, Stages: 2, FanOut: 2, N: 1024, Rounds: 2},
+		RunPipelineComparison, WritePipeline),
+	"checkpoint": scenario(CheckpointOptions{Workers: 2, Jobs: 16, N: 1024, Reps: 1, PutRecords: 256},
+		RunCheckpoint, WriteCheckpointBench),
 }
 
 // shortThreadCounts returns {1} on a single-processor machine and {1, 2}
@@ -208,15 +178,31 @@ func ScenarioNames() []string {
 	return out
 }
 
-// RunScenario runs the named scenario with its quick default options,
-// writing the report to w.
-func RunScenario(name string, w io.Writer) error {
+// RunScenario runs the named scenario (at full size when full is set, else
+// at smoke size), writing the text report to w and returning the report
+// value.
+func RunScenario(name string, w io.Writer, full bool) (any, error) {
 	f, ok := scenarios[name]
 	if !ok {
-		return fmt.Errorf("bench: unknown scenario %q (known: %v)", name, ScenarioNames())
+		return nil, fmt.Errorf("bench: unknown scenario %q (known: %v)", name, ScenarioNames())
 	}
-	return f(w)
+	return f(w, full)
 }
+
+// WriteJSON writes v to path as indented JSON: the BENCH_*.json artifact
+// format benchcmp compares.
+func WriteJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+// Strict reports whether BENCH_STRICT=1 is set: the switch that turns the
+// acceptance tests' bounds (and cmd/loadgen's strict gate) from skipped into
+// asserted. The bounds need a quiet machine, so they are opt-in.
+func Strict() bool { return os.Getenv("BENCH_STRICT") == "1" }
 
 // Table1Schedulers returns the scheduler names of the rows of Table 1, in
 // the paper's order.

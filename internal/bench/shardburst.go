@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -110,10 +108,9 @@ func RunShardBurst(opt ShardBurstOptions) (ShardBurstResult, error) {
 	opt.normalize()
 	p := jobs.NewSharded(jobs.ShardedConfig{
 		Config: jobs.Config{
-			Workers:      opt.Workers,
-			LockOSThread: LockThreads,
-			Tracer:       opt.Tracer,
-			Name:         "shardburst",
+			Workers: opt.Workers,
+			Tracer:  opt.Tracer,
+			Name:    "shardburst",
 		},
 		Shards:          opt.Shards,
 		StealInterval:   opt.StealInterval,
@@ -258,14 +255,4 @@ func WriteShardBurst(w io.Writer, rep ShardBurstReport) error {
 	fmt.Fprintf(w, "\n%d-shard throughput is %.2fx the single-shard configuration (p95 tail %.2fx lower)\n",
 		rep.Sharded.Shards, rep.Speedup, rep.TailRatio)
 	return nil
-}
-
-// WriteShardBurstJSON writes the comparison report to path as indented JSON
-// (the BENCH_shardburst.json artifact).
-func WriteShardBurstJSON(path string, rep ShardBurstReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

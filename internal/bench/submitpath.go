@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"sort"
 	"text/tabwriter"
@@ -97,9 +95,8 @@ func RunSubmitPath(opt SubmitPathOptions) (SubmitPathResult, error) {
 	opt.normalize()
 	p := jobs.NewSharded(jobs.ShardedConfig{
 		Config: jobs.Config{
-			Workers:      opt.Workers,
-			LockOSThread: LockThreads,
-			Name:         "submitpath",
+			Workers: opt.Workers,
+			Name:    "submitpath",
 		},
 		Shards: opt.Shards,
 	})
@@ -246,14 +243,4 @@ func WriteSubmitPath(w io.Writer, res SubmitPathResult) error {
 		fmt.Fprintf(tw, "batch(%d) allocs/submit\t%.2f\n", res.BatchSize, res.BatchAllocsPerSubmit)
 	}
 	return tw.Flush()
-}
-
-// WriteSubmitPathJSON writes the result to path as indented JSON (the
-// BENCH_submitpath.json artifact).
-func WriteSubmitPathJSON(path string, res SubmitPathResult) error {
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

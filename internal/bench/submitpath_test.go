@@ -9,7 +9,7 @@ import (
 // TestSubmitPathSmoke verifies the measurement machinery on a tiny
 // configuration: both phases run, every metric is populated and internally
 // consistent. The zero-alloc and batch-amortization criteria are asserted
-// separately under SUBMITPATH_STRICT.
+// separately under BENCH_STRICT.
 func TestSubmitPathSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench smoke test")
@@ -36,12 +36,12 @@ func TestSubmitPathSmoke(t *testing.T) {
 // TestSubmitPathAcceptance is the refactor's acceptance criterion: the
 // steady-state submit path allocates nothing (pooled jobs, by-value
 // handoffs), and batched intake amortizes admission below the single-submit
-// cost. Asserted only with SUBMITPATH_STRICT=1 (set on capable CI runners,
+// cost. Asserted only with BENCH_STRICT=1 (set on capable CI runners,
 // never under -race: the race runtime allocates on paths the production
 // build does not).
 func TestSubmitPathAcceptance(t *testing.T) {
-	if os.Getenv("SUBMITPATH_STRICT") == "" {
-		t.Skip("set SUBMITPATH_STRICT=1 to assert the zero-alloc and batch-amortization criteria (needs a quiet machine, non-race build)")
+	if !Strict() {
+		t.Skip("set BENCH_STRICT=1 to assert the zero-alloc and batch-amortization criteria (needs a quiet machine, non-race build)")
 	}
 	res, err := RunSubmitPath(SubmitPathOptions{})
 	if err != nil {

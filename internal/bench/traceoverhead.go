@@ -9,10 +9,8 @@ package bench
 // are a nil check), tracing on stays within a few percent.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"text/tabwriter"
 	"time"
 
@@ -172,16 +170,6 @@ func WriteTraceOverhead(w io.Writer, rep TraceOverheadReport) error {
 	}
 	fmt.Fprintf(w, "\nworst-case tracing overhead: %.2f%% of untraced throughput\n", rep.MaxOverheadFraction*100)
 	return nil
-}
-
-// WriteTraceOverheadJSON writes the report to path as indented JSON (the
-// BENCH_traceoverhead.json artifact).
-func WriteTraceOverheadJSON(path string, rep TraceOverheadReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // quickTraceOverheadOptions is the smoke-run configuration shared by the

@@ -10,7 +10,7 @@ import (
 // TestTraceOverheadSmoke verifies the comparison machinery on a tiny
 // configuration: both scenarios run in both configurations, the traced runs
 // emit events, and the report is internally consistent. The overhead budget
-// itself is asserted separately under TRACE_STRICT.
+// itself is asserted separately under BENCH_STRICT.
 func TestTraceOverheadSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench smoke test")
@@ -45,11 +45,11 @@ func TestTraceOverheadSmoke(t *testing.T) {
 
 // TestTraceOverheadBudget is the acceptance criterion: with tracing on and a
 // live subscriber draining the feed, both scenarios stay within 5% of their
-// untraced throughput. Asserted only with TRACE_STRICT=1 (set on capable CI
+// untraced throughput. Asserted only with BENCH_STRICT=1 (set on capable CI
 // runners): on small or loaded machines the ratio is dominated by noise.
 func TestTraceOverheadBudget(t *testing.T) {
-	if os.Getenv("TRACE_STRICT") == "" {
-		t.Skip("set TRACE_STRICT=1 to assert the <=5% tracing-overhead criterion (needs a quiet multi-core machine)")
+	if !Strict() {
+		t.Skip("set BENCH_STRICT=1 to assert the <=5% tracing-overhead criterion (needs a quiet multi-core machine)")
 	}
 	rep, err := RunTraceOverhead(TraceOverheadOptions{})
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"loopsched/internal/reduce"
 	"loopsched/internal/sched"
@@ -36,16 +37,17 @@ func TestStealsHappenUnderLoad(t *testing.T) {
 	rt := New(Config{Workers: p, LockOSThread: false})
 	defer rt.Close()
 	rt.Counters().Reset()
-	// A loop with enough unbalanced work per iteration that thieves get a
-	// chance to participate.
-	var sink atomic.Int64
+	// A loop built to be unbalanced: every iteration of the left half spins
+	// for a fixed time. The master descends into that half while the right
+	// half waits on its deque for at least 32 x 50µs, ample time for a thief
+	// to wake and steal it even on an oversubscribed two-core machine.
+	const n = 64
 	for rep := 0; rep < 20 && rt.Counters().Get(trace.Steals) == 0; rep++ {
-		rt.For(10000, func(w, begin, end int) {
-			local := int64(0)
-			for i := begin; i < end; i++ {
-				local += int64(i % 7)
+		rt.For(n, func(w, begin, end int) {
+			for i := begin; i < end && i < n/2; i++ {
+				for deadline := time.Now().Add(50 * time.Microsecond); time.Now().Before(deadline); {
+				}
 			}
-			sink.Add(local)
 		})
 	}
 	if rt.Counters().Get(trace.Steals) == 0 {

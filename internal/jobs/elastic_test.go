@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"loopsched/internal/trace"
 )
 
 // waitState polls until the job reaches the state or the deadline passes.
@@ -351,5 +353,55 @@ func TestRaceSubmitCancelStatsDuringSkewedJob(t *testing.T) {
 	}
 	if st.QueueDepth != 0 {
 		t.Errorf("queue depth = %d after drain", st.QueueDepth)
+	}
+}
+
+func TestPeelNeverTouchesRecycledJob(t *testing.T) {
+	// Regression: a peeling participant used to return its sub id and read
+	// the trace handle after the decrement that let another participant
+	// complete the job. The owner's Release could recycle the job in that
+	// window, so the stale sub id could land on the next generation's slot
+	// stack (a duplicate worker id) and the peel event read the handle the
+	// recycler was resetting (a -race report). Two submitters keep one job
+	// queued while the other's four participants finish their one-chunk
+	// shares together, so peels and the completing leave coincide; every
+	// job is released the moment it finishes, and every body checks that no
+	// sub id is in use twice at once.
+	s := testScheduler(t, 4, Config{Tracer: trace.NewTracer(16)})
+	const submitters, rounds, n = 2, 2000, 4
+	var dup atomic.Bool
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds && !dup.Load(); r++ {
+				var inUse [64]atomic.Int32
+				j, err := s.Submit(Request{N: n, Grain: 1, Body: func(w, lo, hi int) {
+					if inUse[w].Add(1) != 1 {
+						dup.Store(true)
+					}
+					for end := time.Now().Add(2 * time.Microsecond); time.Now().Before(end); {
+					}
+					inUse[w].Add(-1)
+				}})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := j.Wait(); err != nil {
+					t.Error(err)
+					return
+				}
+				j.Release()
+			}
+		}()
+	}
+	wg.Wait()
+	if dup.Load() {
+		t.Fatal("two participants of one job ran under the same sub id")
+	}
+	if s.Stats().Peeled == 0 {
+		t.Error("no participant peeled; the test exercised nothing")
 	}
 }

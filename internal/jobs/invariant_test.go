@@ -154,7 +154,7 @@ func TestInvariantOverloadScheduler(t *testing.T) {
 		ShedInfeasible: true, SLOTarget: 0.5,
 		BreakerBurnRate: 1, BreakerCooldown: 200 * time.Millisecond,
 	})
-	defer s.Close()
+	t.Cleanup(s.Close) // after parkWorkers' release cleanup, so a Fatal cannot deadlock Close
 	schedtest.RunOverloadInvariants(t, s,
 		schedtest.OverloadInvariantOptions{Seed: seed + 11, QueueDepth: 6, Workers: 2},
 		schedulerDrain(s),
@@ -179,7 +179,7 @@ func TestInvariantOverloadSharded(t *testing.T) {
 		Shards:          2,
 		DisableStealing: true,
 	})
-	defer p.Close()
+	t.Cleanup(p.Close) // after parkWorkers' release cleanup, so a Fatal cannot deadlock Close
 	schedtest.RunOverloadInvariants(t, p,
 		schedtest.OverloadInvariantOptions{Seed: seed + 12, QueueDepth: 8, Workers: 4},
 		shardedDrain(p),

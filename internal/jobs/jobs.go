@@ -121,6 +121,13 @@ const (
 // re-pointed, so depth accounting lands on exactly one shard.
 const stateStealing int32 = 100
 
+// stateSuspending is the internal, transient state of a Pending job that
+// Suspend has taken out of its queue but not yet registered as suspended.
+// State reports it as Pending. It excludes Cancel and keeps Resume from
+// seeing Suspended until the registry entry, gauge, event and checkpoint of
+// the suspension are all in place (see Scheduler.noteSuspended).
+const stateSuspending int32 = 101
+
 // String implements fmt.Stringer.
 func (s State) String() string {
 	switch s {
@@ -362,7 +369,7 @@ type Job struct {
 // State returns the job's current state.
 func (j *Job) State() State {
 	s := j.state.Load()
-	if s == stateStealing {
+	if s == stateStealing || s == stateSuspending {
 		return Pending
 	}
 	return State(s)
@@ -542,22 +549,21 @@ func (j *Job) Suspend() bool {
 	for {
 		switch st := j.state.Load(); st {
 		case int32(Pending):
-			s := j.s
-			if s == nil {
+			if j.home == nil {
 				return false
 			}
 			// Take the queue entry out FIRST: the dispatcher and stealing
 			// siblings always pop before their state CAS, so owning the entry
 			// leaves Cancel as the only remaining contender for the state.
-			if !s.fq.remove(j) {
-				// Pending but not in s's queue: mid-pop, mid-steal, or a
-				// stale queue pointer. Every such window ends with another
-				// goroutine's next step (admit CAS, steal re-push), so
-				// re-read the state and retry.
+			s := j.dequeue()
+			if s == nil {
+				// Pending but in no queue: mid-pop or mid-steal. Every such
+				// window ends with another goroutine's next step (admit CAS,
+				// steal re-push), so re-read the state and retry.
 				runtime.Gosched()
 				continue
 			}
-			if !j.state.CompareAndSwap(int32(Pending), int32(Suspended)) {
+			if !j.state.CompareAndSwap(int32(Pending), stateSuspending) {
 				// Canceled in the window. Cancel already settled the depth
 				// and slot accounting; dropping the removed entry here is
 				// exactly what the dispatcher's failed admission CAS would
@@ -567,9 +573,7 @@ func (j *Job) Suspend() bool {
 			s.depth.Add(-1)
 			s.releaseQueueSlot()
 			j.suspendedAt.Store(time.Now().UnixNano())
-			if home := j.home; home != nil {
-				home.noteSuspended(j)
-			}
+			j.home.noteSuspended(j)
 			return true
 		case int32(Running):
 			// Post the quiesce request; participants observe it between
@@ -579,12 +583,34 @@ func (j *Job) Suspend() bool {
 			return true
 		case int32(Suspended):
 			return true
-		case stateStealing:
+		case stateStealing, stateSuspending:
 			runtime.Gosched()
 		default:
 			return false
 		}
 	}
+}
+
+// dequeue takes a Pending job out of the admission queue holding it and
+// returns that queue's scheduler, or nil when no queue holds the job right
+// now. A job only ever sits in the queue of the scheduler it is accounted to
+// (j.s), but j.s is not read here: a sibling shard stealing the job rewrites
+// it concurrently. Trying every shard's queue under its own lock instead
+// orders this call after whichever push put the job there.
+func (j *Job) dequeue() *Scheduler {
+	if j.pool == nil {
+		// A standalone scheduler never migrates its jobs: j.s is j.home.
+		if j.home.fq.remove(j) {
+			return j.home
+		}
+		return nil
+	}
+	for _, s := range j.pool.shards {
+		if s.fq.remove(j) {
+			return s
+		}
+	}
+	return nil
 }
 
 // Resume re-admits a Suspended job: it re-enters admission (on the
@@ -619,26 +645,22 @@ func (j *Job) parkSuspended() {
 		j.complete()
 		return
 	}
-	s := j.s
 	now := time.Now()
 	j.resumeFrom = j.cursor.Claimed()
 	j.resumeAcc = j.acc
 	j.ranNanos.Add(int64(now.Sub(j.started)))
 	j.suspendedAt.Store(now.UnixNano())
 	j.suspendReq.Store(false)
-	if s != nil {
+	if s := j.s; s != nil {
 		s.growMu.Lock()
 		delete(s.growSet, j)
 		s.growables.Store(int32(len(s.growSet)))
 		s.growMu.Unlock()
-	}
-	j.state.Store(int32(Suspended))
-	if s != nil {
 		s.running.Add(-1)
 	}
-	if home := j.home; home != nil {
-		home.noteSuspended(j)
-	}
+	// The job stays Running until noteSuspended publishes Suspended: no
+	// participant is left, and nothing else moves a Running job's state.
+	j.home.noteSuspended(j)
 }
 
 // Workers returns the peak sub-team size the job has run on (0 until it is
@@ -722,13 +744,21 @@ func (j *Job) popSlot() (int, bool) {
 	return sub, true
 }
 
-// pushSlot returns a dense sub-worker id to the free stack. The append never
-// grows the backing array: at most maxK ids exist and initElastic sized the
-// stack for all of them.
-func (j *Job) pushSlot(sub int) {
+// leave returns a participant's dense sub-worker id to the free stack and
+// drops the participant count, reporting whether the caller was the last
+// participant (which then completes or parks the job). The append never grows
+// the backing array: at most maxK ids exist and initElastic sized the stack
+// for all of them.
+//
+// Both steps hold slotMu, so every write to active after admission happens
+// under it: a peeler holding slotMu sees a count no other participant can
+// change, and nothing it does under the lock can overlap the job completing.
+func (j *Job) leave(sub int) (last bool) {
 	j.slotMu.Lock()
 	j.freeSubs = append(j.freeSubs, sub)
+	last = j.active.Add(-1) == 0
 	j.slotMu.Unlock()
+	return last
 }
 
 // ensurePartials sizes the per-sub-worker reduction views for k workers,
@@ -789,19 +819,29 @@ func (j *Job) tryGrow() (sub int, ok bool) {
 	}
 }
 
-// tryPeel decrements the participant count only if another participant
+// tryPeel leaves the job between chunks only if another participant
 // remains, so a job is never abandoned with unclaimed work. It reports
-// whether the caller may stop taking chunks.
-func (j *Job) tryPeel() bool {
-	for {
-		a := j.active.Load()
-		if a <= 1 {
-			return false
-		}
-		if j.active.CompareAndSwap(a, a-1) {
-			return true
-		}
+// whether the caller left.
+//
+// The whole peel holds slotMu, under which the participant count cannot
+// change (see leave): the peeled event, the slot return and the decrement
+// all happen while another participant still holds the job, so none of them
+// can touch a job that completed — and was Released and recycled — in the
+// meantime, and the event precedes the join.
+func (j *Job) tryPeel(home *Scheduler, sub int) bool {
+	j.slotMu.Lock()
+	defer j.slotMu.Unlock()
+	a := j.active.Load()
+	if a <= 1 {
+		return false
 	}
+	if home != nil {
+		home.peeled.Add(1)
+		j.tr.Event(trace.EvPeeled, home.cfg.shard, int(a-1), "")
+	}
+	j.freeSubs = append(j.freeSubs, sub)
+	j.active.Store(a - 1)
+	return true
 }
 
 // runElastic is one participant's share of an elastic job: claim chunks from
@@ -865,29 +905,22 @@ func (j *Job) runElastic(home *Scheduler, sub int) {
 			// Leave like an exhausted participant — partial folded, slot
 			// returned — but the last one out parks the job Suspended with
 			// its progress captured instead of completing it.
-			j.pushSlot(sub)
-			if j.active.Add(-1) == 0 {
+			if j.leave(sub) {
 				j.parkSuspended()
 			}
 			return
 		}
 		if !peel {
-			// Exhausted the cursor: leave for good. The slot is returned
-			// first so a grower can reuse it; the grow CAS requires
-			// active >= 1, so the decrement below still safely completes the
-			// job when this participant is the last.
-			j.pushSlot(sub)
-			if j.active.Add(-1) == 0 {
+			// Exhausted the cursor: leave for good. The slot goes back with
+			// the decrement so a grower can reuse it; the grow CAS requires
+			// active >= 1, so the last participant out still safely
+			// completes the job.
+			if j.leave(sub) {
 				j.complete()
 			}
 			return
 		}
-		if j.tryPeel() {
-			j.pushSlot(sub)
-			if home != nil {
-				home.peeled.Add(1)
-				j.tr.Event(trace.EvPeeled, home.cfg.shard, int(j.active.Load()), "")
-			}
+		if j.tryPeel(home, sub) {
 			return
 		}
 		// Lost the race to peel: every other participant left while this one

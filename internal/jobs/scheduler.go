@@ -788,11 +788,18 @@ func (s *Scheduler) releaseWave(j *Job, ids []int, elastic bool, chunk, maxK int
 	}
 	// Publish the job for growth and cross-shard lending only after the
 	// release wave: growers drain the slot stack concurrently, and
-	// advertising the job earlier could take the initial team's slots.
+	// advertising the job earlier could take the initial team's slots. By
+	// now the team may already have finished the job: its completion (or
+	// park) drops the registry entry under growMu only after active hit 0,
+	// so an entry is added only while a participant remains — a finished job
+	// left behind could be Released and recycled under the dispatcher's
+	// preemption scan.
 	if elastic {
 		s.growMu.Lock()
-		s.growSet[j] = struct{}{}
-		s.growables.Store(int32(len(s.growSet)))
+		if j.active.Load() > 0 {
+			s.growSet[j] = struct{}{}
+			s.growables.Store(int32(len(s.growSet)))
+		}
 		s.growMu.Unlock()
 	}
 }
@@ -1142,12 +1149,15 @@ func (s *Scheduler) deleteCheckpoint(j *Job) {
 	}
 }
 
-// noteSuspended registers a job that just parked in the Suspended state:
-// gauges, the suspended set (Close's sweep target), the lifecycle event and
-// the durable snapshot. Called by Suspend (queued jobs) and by the last
-// quiescing participant (running jobs). If Close's sweep already ran, the
-// parking side finishes the job's cancellation itself — the sweep can no
-// longer see it.
+// noteSuspended registers a job that is parking and then publishes it
+// Suspended, in that order: gauges, the lifecycle event, the durable
+// snapshot, and last the suspended-set entry (Close's sweep target) together
+// with the state, both under suspendMu. A Resume acts only on a published
+// Suspended state, so it always finds the registration to undo and follows
+// the suspended event; Close's sweep either finds the job registered and
+// already Suspended, or has run before and left its cancellation to this
+// call. Called by Suspend (queued jobs, from stateSuspending) and by the last
+// quiescing participant (running jobs, from Running).
 func (s *Scheduler) noteSuspended(j *Job) {
 	if j.elastic {
 		// A parked job must leave the grow registry now, not at the next lazy
@@ -1161,16 +1171,17 @@ func (s *Scheduler) noteSuspended(j *Job) {
 	}
 	s.suspended.Add(1)
 	s.suspendedTotal.Add(1)
+	if j.tr != nil {
+		j.tr.Event(trace.EvSuspended, s.cfg.shard, 0, fmt.Sprintf("cursor=%d", j.resumeFrom))
+	}
+	s.writeCheckpoint(j)
 	s.suspendMu.Lock()
 	closedNow := s.suspendClosed
 	if !closedNow {
 		s.suspendSet[j] = struct{}{}
 	}
+	j.state.Store(int32(Suspended))
 	s.suspendMu.Unlock()
-	if j.tr != nil {
-		j.tr.Event(trace.EvSuspended, s.cfg.shard, 0, fmt.Sprintf("cursor=%d", j.resumeFrom))
-	}
-	s.writeCheckpoint(j)
 	if closedNow {
 		s.cancelSuspendedForClose(j)
 	}

@@ -3,6 +3,7 @@ package jobs
 import (
 	"errors"
 	"math"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -421,5 +422,86 @@ func TestSuspendCancelWhileSuspended(t *testing.T) {
 	close(release)
 	if _, err := hog.Wait(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSuspendResumeHammer races Suspend against Resume from two goroutines,
+// first while the job waits in the queue behind two hogs (the Pending path)
+// and then while it runs (the quiesce-and-park path). Regression: both paths
+// used to publish Suspended before registering the suspension, so a Resume
+// could re-admit the job first; the late registration then left a stale
+// suspended-set entry behind and recorded the suspended event after the
+// resumed one. Every iteration must still run exactly once.
+func TestSuspendResumeHammer(t *testing.T) {
+	s := testScheduler(t, 2, Config{Tracer: trace.NewTracer(64)})
+	const jobs, n = 8, 256
+	for i := 0; i < jobs; i++ {
+		release := make(chan struct{})
+		for h := 0; h < 2; h++ {
+			hog, err := s.Submit(Request{N: 1, Body: func(w, lo, hi int) { <-release }})
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitState(t, hog, Running)
+		}
+		var ran atomic.Int64
+		j, err := s.Submit(Request{N: n, Grain: 4, Body: func(w, lo, hi int) {
+			ran.Add(int64(hi - lo))
+			time.Sleep(5 * time.Microsecond)
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for _, op := range []func() bool{j.Suspend, j.Resume} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+						op()
+					}
+				}
+			}()
+		}
+		time.Sleep(2 * time.Millisecond)
+		close(release)
+		time.Sleep(2 * time.Millisecond)
+		close(stop)
+		wg.Wait()
+		waitFor(t, "the hammered job to finish", func() bool {
+			j.Resume()
+			return j.State() == Done
+		})
+		if got := ran.Load(); got != n {
+			t.Fatalf("job %d covered %d iterations, want %d", i, got, n)
+		}
+		suspended := false
+		for _, ev := range j.Trace().Events() {
+			switch ev.Type {
+			case "suspended":
+				suspended = true
+			case "resumed":
+				if !suspended {
+					t.Fatalf("job %d: resumed (seq %d) without a preceding suspended", i, ev.Seq)
+				}
+				suspended = false
+			}
+		}
+	}
+	st := s.Stats()
+	if st.SuspendedDepth != 0 || st.SuspendedTotal != st.ResumedTotal {
+		t.Fatalf("suspended depth %d, suspended/resumed totals %d/%d; want 0 and equal",
+			st.SuspendedDepth, st.SuspendedTotal, st.ResumedTotal)
+	}
+	s.suspendMu.Lock()
+	stale := len(s.suspendSet)
+	s.suspendMu.Unlock()
+	if stale != 0 {
+		t.Fatalf("%d stale suspended-set entries for finished jobs", stale)
 	}
 }

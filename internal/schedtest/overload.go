@@ -331,7 +331,14 @@ func runBreakerRecovery(t *testing.T, runner JobRunner, opt OverloadInvariantOpt
 // channel and waits until they all run, so everything submitted afterwards
 // must queue. The returned release is idempotent and registered with
 // t.Cleanup: a Fatal while the pool is parked must unblock the workers, or
-// the runner's deferred Close would hang forever.
+// the runner's Close (registered as an earlier cleanup) would hang forever.
+//
+// A sharded runner routes each submission by the shards' momentary load,
+// which counts busy workers: a worker still winding down its previous job,
+// or one not yet running its blocker, could route two blockers too many to
+// one shard, where the last would queue forever (stealing may be off). So
+// the pool drains first and each blocker is running before the next is
+// submitted.
 func parkWorkers(t *testing.T, runner JobRunner, opt OverloadInvariantOptions,
 	drained func() DrainStats) (release func(), parked []*jobs.Job) {
 	t.Helper()
@@ -339,17 +346,18 @@ func parkWorkers(t *testing.T, runner JobRunner, opt OverloadInvariantOptions,
 	var once sync.Once
 	release = func() { once.Do(func() { close(ch) }) }
 	t.Cleanup(release)
+	waitDrained(t, drained, opt.Deadline)
 	for i := 0; i < opt.Workers; i++ {
 		j, err := runner.Submit(jobs.Request{N: 1, Tenant: "ovl-probe", Body: func(w, lo, hi int) { <-ch }})
 		if err != nil {
 			t.Fatalf("parking blocker %d: %v", i, err)
 		}
 		parked = append(parked, j)
+		pollUntil(t, "blocker running", opt.Deadline, func() bool {
+			d := drained()
+			return d.Running == i+1 && d.BusyWorkers == i+1 && d.QueueDepth == 0
+		})
 	}
-	pollUntil(t, "blockers running", opt.Deadline, func() bool {
-		d := drained()
-		return d.Running == opt.Workers && d.QueueDepth == 0
-	})
 	return release, parked
 }
 

@@ -34,6 +34,7 @@ package loopsched
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"time"
 
@@ -162,16 +163,10 @@ type Config struct {
 type Pool struct {
 	s *core.Scheduler
 
-	asyncGrain         int
-	asyncRigid         bool
-	asyncShards        int
-	asyncStealInterval time.Duration
-	asyncSLOTarget     float64
-	asyncMaxWait       time.Duration
-	asyncShed          bool
-	asyncBreakerBurn   float64
-	asyncBreakerCool   time.Duration
-	tracer             *trace.Tracer
+	// asyncCfg is the async runtime's configuration (tracer included),
+	// built once by New; jobs() adds only the tenant weights registered
+	// before first use.
+	asyncCfg jobs.ShardedConfig
 
 	jobsMu     sync.Mutex
 	jobsRT     *jobs.Sharded
@@ -218,22 +213,31 @@ func New(cfg Config) *Pool {
 		OuterFanout:  cfg.OuterFanout,
 		LockOSThread: !cfg.DisableThreadLock,
 	})
-	p := &Pool{
-		s:                  s,
-		asyncGrain:         cfg.AsyncGrain,
-		asyncRigid:         cfg.AsyncRigid,
-		asyncShards:        cfg.AsyncShards,
-		asyncStealInterval: cfg.AsyncStealInterval,
-		asyncSLOTarget:     cfg.SLOTarget,
-		asyncMaxWait:       cfg.MaxWait,
-		asyncShed:          cfg.ShedInfeasible,
-		asyncBreakerBurn:   cfg.BreakerBurnRate,
-		asyncBreakerCool:   cfg.BreakerCooldown,
-	}
+	var tracer *trace.Tracer
 	if cfg.Trace {
-		p.tracer = trace.NewTracer(cfg.TraceCapacity)
+		tracer = trace.NewTracer(cfg.TraceCapacity)
 	}
-	return p
+	// The async team is never locked to OS threads: unlike the synchronous
+	// team's spin-waiting workers, jobs workers park on channels between
+	// jobs, and pinning a second P threads would only oversubscribe the
+	// machine.
+	asyncCfg := jobs.ShardedConfig{
+		Config: jobs.Config{
+			Workers:         s.P(),
+			DefaultGrain:    cfg.AsyncGrain,
+			DisableElastic:  cfg.AsyncRigid,
+			Tracer:          tracer,
+			SLOTarget:       cfg.SLOTarget,
+			MaxWait:         cfg.MaxWait,
+			ShedInfeasible:  cfg.ShedInfeasible,
+			BreakerBurnRate: cfg.BreakerBurnRate,
+			BreakerCooldown: cfg.BreakerCooldown,
+			Name:            "async-" + s.Name(),
+		},
+		Shards:        resolveShardRequest(cfg.AsyncShards),
+		StealInterval: cfg.AsyncStealInterval,
+	}
+	return &Pool{s: s, asyncCfg: asyncCfg}
 }
 
 // NewDefault creates a pool with the default configuration.
@@ -262,32 +266,9 @@ func (p *Pool) jobs() *jobs.Sharded {
 	p.jobsMu.Lock()
 	defer p.jobsMu.Unlock()
 	if p.jobsRT == nil && !p.jobsClosed {
-		shards := resolveShardRequest(p.asyncShards)
-		// The async team is never locked to OS threads: unlike the
-		// synchronous team's spin-waiting workers, jobs workers park on
-		// channels between jobs, and pinning a second P threads would only
-		// oversubscribe the machine.
-		weights := make(map[string]int, len(p.tenantWeights))
-		for name, w := range p.tenantWeights {
-			weights[name] = w
-		}
-		p.jobsRT = jobs.NewSharded(jobs.ShardedConfig{
-			Config: jobs.Config{
-				Workers:         p.s.P(),
-				DefaultGrain:    p.asyncGrain,
-				DisableElastic:  p.asyncRigid,
-				TenantWeights:   weights,
-				Tracer:          p.tracer,
-				SLOTarget:       p.asyncSLOTarget,
-				MaxWait:         p.asyncMaxWait,
-				ShedInfeasible:  p.asyncShed,
-				BreakerBurnRate: p.asyncBreakerBurn,
-				BreakerCooldown: p.asyncBreakerCool,
-				Name:            "async-" + p.s.Name(),
-			},
-			Shards:        shards,
-			StealInterval: p.asyncStealInterval,
-		})
+		cfg := p.asyncCfg
+		cfg.TenantWeights = maps.Clone(p.tenantWeights)
+		p.jobsRT = jobs.NewSharded(cfg)
 	}
 	return p.jobsRT
 }
@@ -325,7 +306,7 @@ func (p *Pool) AsyncShards() int {
 	if closed {
 		return 0
 	}
-	return jobs.ResolveShardCount(p.s.P(), resolveShardRequest(p.asyncShards))
+	return jobs.ResolveShardCount(p.s.P(), p.asyncCfg.Shards)
 }
 
 // resolveShardRequest maps Config.AsyncShards (0 = one shard, < 0 =
@@ -357,7 +338,7 @@ func (p *Pool) AsyncStats() jobs.ShardedStats {
 // Tracer returns the pool's lifecycle tracer, or nil unless Config.Trace
 // was set. Subscribe to it for a live event feed, or query finished job
 // traces with Tracer.Trace.
-func (p *Pool) Tracer() *Tracer { return p.tracer }
+func (p *Pool) Tracer() *Tracer { return p.asyncCfg.Tracer }
 
 // Scheduler exposes the underlying runtime through the internal scheduler
 // interface; it is used by the benchmark harness and example applications
