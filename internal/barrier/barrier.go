@@ -1,8 +1,8 @@
 // Package barrier implements the synchronisation primitives underlying the
 // loop schedulers: a centralized sense-reversing barrier, a Mellor-Crummey &
-// Scott style tree barrier, a dissemination barrier, and — central to the
-// paper — the two *half-barrier* primitives obtained by splitting a barrier
-// into its join phase and its release phase.
+// Scott style tree barrier, and — central to the paper — the two
+// *half-barrier* primitives obtained by splitting a barrier into its join
+// phase and its release phase.
 //
 // A conventional barrier episode has two phases:
 //

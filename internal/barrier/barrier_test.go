@@ -50,10 +50,9 @@ func participants() []int {
 func makeFulls(p int) map[string]Full {
 	topo := topology.New(p, 4)
 	return map[string]Full{
-		"centralized":   NewCentralized(p),
-		"tree-grouped":  NewTree(topo.GroupedTree(2, 2)),
-		"tree-radix4":   NewTree(topology.RadixTree(p, 4)),
-		"dissemination": NewDissemination(p),
+		"centralized":  NewCentralized(p),
+		"tree-grouped": NewTree(topo.GroupedTree(2, 2)),
+		"tree-radix4":  NewTree(topology.RadixTree(p, 4)),
 	}
 }
 
@@ -362,7 +361,6 @@ func TestInvalidConstructionPanics(t *testing.T) {
 	cases := []func(){
 		func() { NewCentralized(0) },
 		func() { NewCentralized(-3) },
-		func() { NewDissemination(0) },
 		func() { NewTree(topology.TreeShape{}) },
 	}
 	for i, f := range cases {

@@ -3,6 +3,7 @@ package bench
 import (
 	"io"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -50,6 +51,9 @@ func TestTraceOverheadSmoke(t *testing.T) {
 func TestTraceOverheadBudget(t *testing.T) {
 	if !Strict() {
 		t.Skip("set BENCH_STRICT=1 to assert the <=5% tracing-overhead criterion (needs a quiet multi-core machine)")
+	}
+	if runtime.GOMAXPROCS(0) < 4 {
+		t.Skipf("GOMAXPROCS = %d < 4: below that the traced/untraced ratio swings well past the 5%% budget run to run", runtime.GOMAXPROCS(0))
 	}
 	rep, err := RunTraceOverhead(TraceOverheadOptions{})
 	if err != nil {

@@ -49,11 +49,53 @@
 // their elastic sub-teams to shrink between chunks (never below one
 // participant). The policy runs only on the per-job admission path; the
 // per-chunk execution path stays a single atomic claim.
+//
+// # Job lifecycle
+//
+//	submit ─┬─► Blocked ──release──► Pending ──admit──► Running ──complete──► Done
+//	        ├─► Pending               │ ▲                 │
+//	        └─► Done (inline) suspend │ │ resume          │ park
+//	                                  ▼ │                 │
+//	                                Suspended ◄───────────┘
+//	cancel: Pending | Blocked | Suspended ──► Canceled
+//	steal:  Pending ──► stealing* ──► Pending, on the thief shard
+//
+// Only lifecycle.go writes a job's state, one function per edge, and that
+// function fixes the order of the edge's side effects:
+//
+//   - admit (Scheduler.admit; admitDirect on the submit fast path): one CAS
+//     (a store on the fast path: the job is not yet published); queue slot;
+//     release wave; grow registry.
+//   - complete (Job.complete): one store; grow registry and running gauge;
+//     statistics, EvJoined, checkpoint delete; dependents; waiters.
+//   - cancel (Job.cancel): CAS, error and dependent snapshot under depMu;
+//     gauges, checkpoint delete (kept by Close's sweep); EvCanceled;
+//     dependents; waiters.
+//   - block (Job.block): store; EvBlocked; upstream registration, which may
+//     release or cancel the job at once.
+//   - inline (Scheduler.completeInline), a loop with N <= 0 at submit or
+//     release: store (CAS from Blocked, with the blocked gauge and
+//     EvReleased); EvAdmitted, EvDispatched; complete.
+//   - release, resume (Scheduler.enqueue): depth; CAS; the home's blocked or
+//     suspended gauge; EvReleased or EvResumed; EvAdmitted; queue push.
+//   - suspend (Job.suspendQueued, then noteSuspended): CAS into suspending*;
+//     queue slot; gauges, EvSuspended, checkpoint; registry entry and state
+//     together under suspendMu.
+//   - park (Job.parkSuspended, by the last quiescing participant): grow
+//     registry and running gauge; then as suspend.
+//   - steal (Sharded.migrate): CAS into stealing*; queue slot and depth move
+//     to the thief; store; EvStolen.
+//   - recycle (Scheduler.freeJob): a Released Done job becomes a fresh
+//     Pending generation.
+//
+// * stealing and suspending are transient: State reports them as Pending,
+// and each excludes Cancel while its edge moves the job's accounting. Edges
+// into Done and Canceled wake waiters last, so a returning Wait finds the
+// gauges, the trace and the checkpoint settled.
 package jobs
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -113,20 +155,6 @@ const (
 	// store under the same job id.
 	Suspended
 )
-
-// stateStealing is an internal, transient state: the job has been pulled out
-// of one shard's admission queue by a sibling shard and is mid-migration. It
-// is never observable through State (which reports it as Pending); its only
-// purpose is to exclude Cancel while the job's home scheduler is being
-// re-pointed, so depth accounting lands on exactly one shard.
-const stateStealing int32 = 100
-
-// stateSuspending is the internal, transient state of a Pending job that
-// Suspend has taken out of its queue but not yet registered as suspended.
-// State reports it as Pending. It excludes Cancel and keeps Resume from
-// seeing Suspended until the registry entry, gauge, event and checkpoint of
-// the suspension are all in place (see Scheduler.noteSuspended).
-const stateSuspending int32 = 101
 
 // String implements fmt.Stringer.
 func (s State) String() string {
@@ -469,67 +497,7 @@ func (j *Job) Release() {
 // Canceling a job also cancels its not-yet-started dependents: their Wait
 // errors match ErrCanceled and wrap this job's error.
 func (j *Job) Cancel() bool {
-	// The whole terminal transition — state flip, error publication and the
-	// dependent drain — happens under depMu, so a concurrent addDependent
-	// either registers before the drain (and is notified by it) or observes
-	// the Canceled state with the error already written; it can never see
-	// Canceled with a nil error and release its dependent as if the upstream
-	// had succeeded.
-	j.depMu.Lock()
-	blocked := j.state.CompareAndSwap(int32(Blocked), int32(Canceled))
-	suspended := !blocked && j.state.CompareAndSwap(int32(Suspended), int32(Canceled))
-	if !blocked && !suspended && !j.state.CompareAndSwap(int32(Pending), int32(Canceled)) {
-		j.depMu.Unlock()
-		return false
-	}
-	j.err = ErrCanceled
-	deps := j.dependents
-	j.dependents = nil
-	j.depMu.Unlock()
-	j.finish()
-	if blocked {
-		// Blocked jobs sit outside every queue: only the home scheduler's
-		// blocked gauge — never the queue depth — needs adjusting.
-		if j.home != nil {
-			j.home.canceled.Add(1)
-			j.home.blocked.Add(-1)
-			j.home.signalBlockedFreed()
-			j.home.deleteCheckpoint(j)
-		}
-	} else if suspended {
-		// Suspended jobs sit outside every queue too: retire the home's
-		// suspended registry entry and drop the checkpoint — an explicitly
-		// canceled job must not be recovered.
-		if j.home != nil {
-			j.home.canceled.Add(1)
-			j.home.suspendDrop(j)
-		}
-	} else if j.s != nil {
-		j.s.canceled.Add(1)
-		// The job still sits in the admission queue, but it no longer waits
-		// for workers: take it out of the depth other tenants' fair share is
-		// computed from. The dispatcher skips the depth decrement for jobs
-		// whose Pending->Running CAS fails, so exactly one side accounts for
-		// each job.
-		j.s.depth.Add(-1)
-		j.s.releaseQueueSlot()
-		if j.home != nil {
-			j.home.deleteCheckpoint(j)
-		}
-	}
-	if j.tr != nil {
-		sh := 0
-		if (blocked || suspended) && j.home != nil {
-			sh = j.home.cfg.shard
-		} else if !blocked && !suspended && j.s != nil {
-			sh = j.s.cfg.shard
-		}
-		j.tr.Event(trace.EvCanceled, sh, 0, "")
-	}
-	for _, d := range deps {
-		d.depDone(ErrCanceled)
-	}
-	return true
+	return j.cancel(Blocked, nil, "") || j.cancel(Suspended, nil, "") || j.cancel(Pending, nil, "")
 }
 
 // Suspend takes the job out of service with its progress captured, so it can
@@ -563,18 +531,7 @@ func (j *Job) Suspend() bool {
 				runtime.Gosched()
 				continue
 			}
-			if !j.state.CompareAndSwap(int32(Pending), stateSuspending) {
-				// Canceled in the window. Cancel already settled the depth
-				// and slot accounting; dropping the removed entry here is
-				// exactly what the dispatcher's failed admission CAS would
-				// have done on pop.
-				return false
-			}
-			s.depth.Add(-1)
-			s.releaseQueueSlot()
-			j.suspendedAt.Store(time.Now().UnixNano())
-			j.home.noteSuspended(j)
-			return true
+			return j.suspendQueued(s)
 		case int32(Running):
 			// Post the quiesce request; participants observe it between
 			// chunks (see runElastic) and the last one out parks the job.
@@ -621,46 +578,7 @@ func (j *Job) dequeue() *Scheduler {
 // the job is not currently Suspended (a quiescing Running job has not parked
 // yet — poll State) or the pool is shutting down.
 func (j *Job) Resume() bool {
-	if State(j.state.Load()) != Suspended {
-		return false
-	}
-	if j.pool != nil {
-		if target := j.pool.routeFor(j.tenant); target != j.home && target.acceptResumed(j) {
-			return true
-		}
-	}
-	if j.home == nil {
-		return false
-	}
-	return j.home.acceptResumed(j)
-}
-
-// parkSuspended is called by the last quiescing participant (active hit 0):
-// every participant has folded its partial and left, so the claim watermark
-// and the shared accumulator are exact. A suspension that raced the cursor's
-// exhaustion completes the job instead — every iteration already executed.
-func (j *Job) parkSuspended() {
-	if j.cursor.Remaining() == 0 {
-		j.suspendReq.Store(false)
-		j.complete()
-		return
-	}
-	now := time.Now()
-	j.resumeFrom = j.cursor.Claimed()
-	j.resumeAcc = j.acc
-	j.ranNanos.Add(int64(now.Sub(j.started)))
-	j.suspendedAt.Store(now.UnixNano())
-	j.suspendReq.Store(false)
-	if s := j.s; s != nil {
-		s.growMu.Lock()
-		delete(s.growSet, j)
-		s.growables.Store(int32(len(s.growSet)))
-		s.growMu.Unlock()
-		s.running.Add(-1)
-	}
-	// The job stays Running until noteSuspended publishes Suspended: no
-	// participant is left, and nothing else moves a Running job's state.
-	j.home.noteSuspended(j)
+	return State(j.state.Load()) == Suspended && j.reenter(Suspended)
 }
 
 // Workers returns the peak sub-team size the job has run on (0 until it is
@@ -1008,31 +926,6 @@ func (j *Job) combineInto() func(into, from int) {
 	}
 }
 
-// complete publishes the job's result. Called exactly once: by the rigid
-// sub-root, by the last elastic participant to leave, or by the scheduler
-// for degenerate jobs.
-func (j *Job) complete() {
-	if j.req.RBody != nil {
-		if j.elastic {
-			j.result = j.acc
-		} else {
-			j.result = j.partials[0].v
-		}
-	}
-	j.state.Store(int32(Done))
-	if j.s != nil {
-		j.s.recordCompletion(j)
-	}
-	// The join wave is complete and the result stored: release the
-	// dependents. A dependent can therefore never start before every
-	// iteration of this job has executed and folded. The drain must happen
-	// before finish publishes to waiters — once a waiter wakes, the owner
-	// may legally Release the job, and the recycler's field reset would
-	// race with a late dependent drain.
-	j.finishDependents(nil)
-	j.finish()
-}
-
 // addDependent registers d as a dependent of j, or reports that j is already
 // terminal (returning its error: nil for a successful completion). The
 // terminal handoff is arbitrated by depMu: complete and Cancel store the
@@ -1047,32 +940,6 @@ func (j *Job) addDependent(d *Job) (registered bool, terminalErr error) {
 	}
 	j.dependents = append(j.dependents, d)
 	return true, nil
-}
-
-// finishDependents drains the dependent list exactly once per terminal
-// transition and notifies each dependent. upErr is nil for a successful
-// completion and the (ErrCanceled-matching) cause otherwise.
-func (j *Job) finishDependents(upErr error) {
-	j.depMu.Lock()
-	deps := j.dependents
-	j.dependents = nil
-	j.depMu.Unlock()
-	for _, d := range deps {
-		d.depDone(upErr)
-	}
-}
-
-// registerDeps wires a freshly submitted Blocked job to its upstreams. The
-// registration sentinel in waits keeps a racing upstream completion from
-// releasing the job before every edge is registered.
-func (j *Job) registerDeps() {
-	j.waits.Store(int32(len(j.after)) + 1)
-	for _, u := range j.after {
-		if registered, upErr := u.addDependent(j); !registered {
-			j.depDone(upErr)
-		}
-	}
-	j.depDone(nil) // drop the sentinel
 }
 
 // depDone records one upstream turning terminal. The last call — holding the
@@ -1098,89 +965,11 @@ func (j *Job) depDone(upErr error) {
 	// checkCycle short-circuits on the acyclic mark before ever reading a
 	// submitted job's edge list.
 	j.after = nil
-	if upErr != nil {
-		j.cancelBlocked(upErr)
-		return
+	if upErr == nil {
+		j.release()
+	} else {
+		j.cancel(Blocked, upErr, upstreamCancel)
 	}
-	j.release()
-}
-
-// cancelBlocked is the propagation path: a dependency was canceled, so this
-// job transitions Blocked -> Canceled (unless already canceled explicitly)
-// and the cancellation cascades to its own dependents. Like Cancel, the
-// terminal transition and the dependent drain share one depMu critical
-// section (see there).
-func (j *Job) cancelBlocked(upErr error) {
-	j.depMu.Lock()
-	if !j.state.CompareAndSwap(int32(Blocked), int32(Canceled)) {
-		j.depMu.Unlock()
-		return // explicitly canceled first; Cancel did the accounting
-	}
-	j.err = fmt.Errorf("jobs: upstream canceled: %w", upErr)
-	deps := j.dependents
-	j.dependents = nil
-	j.depMu.Unlock()
-	j.finish()
-	if j.home != nil {
-		j.home.canceled.Add(1)
-		j.home.depCanceled.Add(1)
-		j.home.blocked.Add(-1)
-		j.home.signalBlockedFreed()
-		j.home.deleteCheckpoint(j)
-	}
-	if j.tr != nil {
-		sh := 0
-		if j.home != nil {
-			sh = j.home.cfg.shard
-		}
-		j.tr.Event(trace.EvCanceled, sh, 0, "upstream")
-	}
-	for _, d := range deps {
-		d.depDone(j.err)
-	}
-}
-
-// release moves a Blocked job whose upstreams all completed into an
-// admission queue: the least-loaded shard of a sharded pool, or the home
-// scheduler. The home scheduler's queue is guaranteed open while the job is
-// blocked (its Close waits for the blocked gauge to drain), so the fallback
-// can never fail.
-func (j *Job) release() {
-	if j.req.N <= 0 {
-		// Degenerate loop: complete inline at release, exactly like the
-		// no-dependency Submit path. A reducing job still yields its
-		// identity.
-		if !j.state.CompareAndSwap(int32(Blocked), int32(Running)) {
-			return // canceled while blocked
-		}
-		if j.home != nil {
-			j.home.blocked.Add(-1)
-			j.home.released.Add(1)
-			j.home.signalBlockedFreed()
-		}
-		j.started = time.Now()
-		if j.req.RBody != nil {
-			j.ensurePartials(1)
-			j.partials[0].v = j.req.Identity
-		}
-		if j.tr != nil {
-			sh := 0
-			if j.home != nil {
-				sh = j.home.cfg.shard
-			}
-			j.tr.Event(trace.EvReleased, sh, 0, "")
-			j.tr.Event(trace.EvAdmitted, sh, 0, "")
-			j.tr.Event(trace.EvDispatched, sh, 0, "degenerate")
-		}
-		j.complete()
-		return
-	}
-	if j.pool != nil {
-		if target := j.pool.routeFor(j.tenant); target != j.home && target.acceptReleased(j) {
-			return
-		}
-	}
-	j.home.acceptReleased(j)
 }
 
 // checkCycle verifies that the upstream graph reachable from after is

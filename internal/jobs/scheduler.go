@@ -2,7 +2,6 @@ package jobs
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -216,8 +215,8 @@ type Scheduler struct {
 	closed   bool
 	// releaseClosed closes the release window: set (under submitMu) only
 	// after the blocked gauge drained to zero during Close, strictly before
-	// intakeClosed. acceptReleased completes its enqueue under the read
-	// lock, so no release can ever race the intake close.
+	// intakeClosed. enqueue completes its push under the read lock, so no
+	// release can ever race the intake close.
 	releaseClosed bool
 	// intakeClosed tells the dispatcher no further job can enter fq (set by
 	// Close after the submit and release windows shut); the dispatcher exits
@@ -366,54 +365,6 @@ func (s *Scheduler) newJob() *Job {
 	return j
 }
 
-// freeJob recycles a terminal job onto the freelist. The generation bump is
-// first and the broadcast wakes any stale waiter parked across the Release,
-// so late Wait callers observe ErrReleased instead of the next generation's
-// fields. The freelist is bounded: beyond QueueDepth parked jobs the recycle
-// is dropped and the garbage collector takes it, as before pooling.
-func (s *Scheduler) freeJob(j *Job) {
-	// A job abandoned on a failed submission path (closed, backlogged) must
-	// not leave a snapshot behind for recovery to resurrect; for a released
-	// completed job the delete is an idempotent no-op (recordCompletion
-	// already dropped it).
-	s.deleteCheckpoint(j)
-	j.gen.Add(1)
-	j.waitMu.Lock()
-	j.lazyDone = nil
-	j.waitMu.Unlock()
-	j.waitCond.Broadcast()
-	// Field reset: everything generation-specific, keeping the recyclable
-	// capacity (partials, freeSubs, the cached barrier, the cond wiring).
-	j.req = Request{}
-	j.state.Store(int32(Pending))
-	j.result, j.err = 0, nil
-	j.workers.Store(0)
-	j.elastic = false
-	j.active.Store(0)
-	j.maxK = 0
-	j.acc = 0
-	j.tenant, j.prio, j.seq = "", 0, 0
-	j.deadline = time.Time{}
-	j.shrinkTo.Store(0)
-	j.suspendReq.Store(false)
-	j.suspendedAt.Store(0)
-	j.suspendedNanos.Store(0)
-	j.ranNanos.Store(0)
-	j.resumeFrom, j.resumeAcc, j.ckptSeed = 0, 0, 0
-	j.ckpt = nil
-	j.submitted, j.started = time.Time{}, time.Time{}
-	j.s, j.home, j.pool = nil, nil, nil
-	j.after, j.acyclic = nil, false
-	j.tr = nil
-	j.waits.Store(0)
-	j.dependents, j.depErr = nil, nil
-	s.freeMu.Lock()
-	if len(s.freeJobs) < s.cfg.QueueDepth {
-		s.freeJobs = append(s.freeJobs, j)
-	}
-	s.freeMu.Unlock()
-}
-
 // wake rings the dispatcher's doorbell (never blocks; a pending signal
 // coalesces).
 func (s *Scheduler) wake() {
@@ -429,14 +380,16 @@ func (s *Scheduler) wake() {
 // queued (depth), a running elastic job to grow back onto (growables), or
 // sibling shards to scan for steals and lends (hooks; the steal timer is
 // only armed while the dispatcher knows idle workers exist, so the wake must
-// not be skipped). In the single-shard idle steady state every completion
-// would otherwise pay a full empty dispatch scan.
+// not be skipped), or a Close waiting for the dispatcher to drain the queue
+// (entries of jobs canceled while queued count in no depth, and only a pop
+// with a worker in hand drops them). In the single-shard idle steady state
+// every completion would otherwise pay a full empty dispatch scan.
 func (s *Scheduler) parkWorker(id int) {
 	s.idleMu.Lock()
 	s.idleIDs = append(s.idleIDs, id)
 	s.idleMu.Unlock()
 	s.idleCond.Signal()
-	if s.depth.Load() > 0 || s.growables.Load() > 0 || s.cfg.hooks != nil {
+	if s.depth.Load() > 0 || s.growables.Load() > 0 || s.cfg.hooks != nil || s.intakeClosed.Load() {
 		s.wake()
 	}
 }
@@ -594,9 +547,7 @@ func (s *Scheduler) submit(req Request, pool *Sharded) (*Job, error) {
 		// observing this job.
 		s.blocked.Add(1)
 		s.submitMu.RUnlock()
-		j.state.Store(int32(Blocked))
-		j.tr.Event(trace.EvBlocked, s.cfg.shard, 0, "")
-		j.registerDeps() // may release (or cancel) the job immediately
+		j.block()
 		return j, nil
 	}
 	if req.N <= 0 {
@@ -608,20 +559,7 @@ func (s *Scheduler) submit(req Request, pool *Sharded) (*Job, error) {
 		}
 		s.submitted.Add(1)
 		s.fq.account(j.tenant).submitted.Add(1)
-		// Degenerate loop: complete inline, never queued. A reducing job
-		// still yields its identity. The trace still passes through the
-		// canonical admitted -> dispatched -> joined order.
-		j.state.Store(int32(Running))
-		j.started = j.submitted
-		if req.RBody != nil {
-			j.ensurePartials(1)
-			j.partials[0].v = req.Identity
-		}
-		if j.tr != nil {
-			j.tr.Event(trace.EvAdmitted, s.cfg.shard, 0, "")
-			j.tr.Event(trace.EvDispatched, s.cfg.shard, 0, "degenerate")
-		}
-		j.complete()
+		s.completeInline(j, Pending)
 		return j, nil
 	}
 	// Fast path — direct handoff. With nothing queued anywhere, hand the job
@@ -732,14 +670,7 @@ func (s *Scheduler) tryDirectAdmit(j *Job) bool {
 	s.idleMu.Unlock()
 	s.submitted.Add(1)
 	s.fq.account(j.tenant).submitted.Add(1)
-	if j.tr != nil {
-		j.tr.Event(trace.EvAdmitted, s.cfg.shard, 0, "direct")
-	}
-	// The job is not yet published (Submit has not returned), so no Cancel
-	// can race this transition: a plain store suffices where the dispatcher's
-	// admit needs a CAS.
-	j.state.Store(int32(Running))
-	s.releaseWave(j, buf[:n], elastic, chunk, maxK)
+	s.admitDirect(j, buf[:n], elastic, chunk, maxK)
 	if elastic && n < maxK {
 		// Under-provisioned: let the dispatcher top the team up (grow) once
 		// more workers park. A full team (n == maxK) needs no wake — growth
@@ -748,60 +679,6 @@ func (s *Scheduler) tryDirectAdmit(j *Job) bool {
 		s.wake()
 	}
 	return true
-}
-
-// releaseWave moves a job (already accounted, not in any queue) to Running
-// on the given workers and performs the fork-side release wave: one buffered
-// value send per worker, never waiting for the sub-team to assemble. Shared
-// by the dispatcher's admit and the submit fast path.
-func (s *Scheduler) releaseWave(j *Job, ids []int, elastic bool, chunk, maxK int) {
-	k := len(ids)
-	var bar barrier.HalfPair
-	if elastic {
-		j.initElastic(k, chunk, maxK)
-	} else {
-		j.workers.Store(int32(k))
-		if j.req.RBody != nil {
-			j.ensurePartials(k)
-		}
-		if k > 1 {
-			if j.bar == nil || j.barK != k {
-				j.bar = barrier.NewCentralized(k)
-				j.barK = k
-			}
-			bar = j.bar
-		}
-	}
-	j.started = time.Now()
-	s.running.Add(1)
-	j.tr.Event(trace.EvDispatched, s.cfg.shard, k, "")
-	for sub := 0; sub < k; sub++ {
-		a := assignment{job: j, sub: sub, elastic: elastic}
-		if elastic {
-			if slot, ok := j.popSlot(); ok {
-				a.sub = slot
-			}
-		} else {
-			a.k, a.bar = k, bar
-		}
-		s.assign[ids[sub]] <- a
-	}
-	// Publish the job for growth and cross-shard lending only after the
-	// release wave: growers drain the slot stack concurrently, and
-	// advertising the job earlier could take the initial team's slots. By
-	// now the team may already have finished the job: its completion (or
-	// park) drops the registry entry under growMu only after active hit 0,
-	// so an entry is added only while a participant remains — a finished job
-	// left behind could be Released and recycled under the dispatcher's
-	// preemption scan.
-	if elastic {
-		s.growMu.Lock()
-		if j.active.Load() > 0 {
-			s.growSet[j] = struct{}{}
-			s.growables.Store(int32(len(s.growSet)))
-		}
-		s.growMu.Unlock()
-	}
 }
 
 // SubmitBatch submits up to len(reqs) independent jobs under one queue-lock
@@ -894,20 +771,9 @@ func (s *Scheduler) submitBatchChunk(reqs []Request, out []*Job) error {
 			j.tr.Event(trace.EvSubmitted, s.cfg.shard, 0, "")
 		}
 		if req.N <= 0 {
-			// Degenerate loop: complete inline, never queued (see submit).
 			s.submitted.Add(1)
 			s.fq.account(j.tenant).submitted.Add(1)
-			j.state.Store(int32(Running))
-			j.started = now
-			if req.RBody != nil {
-				j.ensurePartials(1)
-				j.partials[0].v = req.Identity
-			}
-			if j.tr != nil {
-				j.tr.Event(trace.EvAdmitted, s.cfg.shard, 0, "")
-				j.tr.Event(trace.EvDispatched, s.cfg.shard, 0, "degenerate")
-			}
-			j.complete()
+			s.completeInline(j, Pending)
 			out[i] = j
 			continue
 		}
@@ -976,102 +842,6 @@ func (s *Scheduler) releaseQueueSlots(n int) {
 	s.queuedHeld -= n
 	s.gateCond.Broadcast()
 	s.gateMu.Unlock()
-}
-
-// acceptReleased admits a blocked job whose dependencies all completed into
-// this scheduler's admission queue. It reports false only when the release
-// window has closed (teardown finished draining this scheduler's blocked
-// jobs); the caller then falls back to the job's home scheduler, whose
-// window is provably still open. Runs on the completing upstream's worker,
-// so it must never block on the queue channel.
-func (s *Scheduler) acceptReleased(j *Job) bool {
-	s.submitMu.RLock()
-	defer s.submitMu.RUnlock()
-	if s.releaseClosed {
-		return false
-	}
-	home := j.home
-	// The release is a migration for snapshot purposes: between raising
-	// this scheduler's depth and dropping the home's blocked gauge, a
-	// pool-wide Stats walk would count the job both queued and blocked, so
-	// the window is bracketed by the same seqlock that guards steals.
-	if p := s.cfg.pool; p != nil {
-		p.migrateBegin.Add(1)
-		defer p.migrateEnd.Add(1)
-	}
-	// Raise the depth before the state flip so a Cancel racing the fresh
-	// Pending state can never drive this scheduler's depth negative, and
-	// re-point the job before the flip so that Cancel reads the right
-	// scheduler (the CAS publishes both stores). The queued slot is forced
-	// (never waited for): this path runs on a completing worker and its
-	// population is already bounded by the blocked gate at submission.
-	s.depth.Add(1)
-	s.forceQueueSlot()
-	j.s = s
-	if !j.state.CompareAndSwap(int32(Blocked), int32(Pending)) {
-		// Canceled while blocked; Cancel already settled the accounting
-		// against the home scheduler's blocked gauge.
-		s.depth.Add(-1)
-		s.releaseQueueSlot()
-		return true
-	}
-	if j.tr != nil {
-		j.tr.Event(trace.EvReleased, s.cfg.shard, 0, "")
-		j.tr.Event(trace.EvAdmitted, s.cfg.shard, 0, "")
-	}
-	// The fair queue's push is a bounded mutex section, so the release path
-	// (running on the completing upstream's worker) never blocks — the old
-	// intake channel's full-queue overflow list is gone with the channel.
-	s.fq.push(j)
-	s.wake()
-	home.blocked.Add(-1)
-	home.released.Add(1)
-	home.signalBlockedFreed()
-	return true
-}
-
-// acceptResumed admits a suspended job back into this scheduler's admission
-// queue (Job.Resume). Structured exactly like acceptReleased: it reports
-// false only when the release window has closed; the caller then falls back
-// to the job's home scheduler. Runs on the resumer's goroutine and never
-// blocks on the queue gate.
-func (s *Scheduler) acceptResumed(j *Job) bool {
-	s.submitMu.RLock()
-	defer s.submitMu.RUnlock()
-	if s.releaseClosed {
-		return false
-	}
-	home := j.home
-	// Like a release, the resume migrates the job between gauges (the home's
-	// suspended set, this scheduler's queue depth), so a pool-wide Stats walk
-	// is kept out of the window by the steal seqlock.
-	if p := s.cfg.pool; p != nil {
-		p.migrateBegin.Add(1)
-		defer p.migrateEnd.Add(1)
-	}
-	s.depth.Add(1)
-	s.forceQueueSlot()
-	j.s = s
-	if !j.state.CompareAndSwap(int32(Suspended), int32(Pending)) {
-		// Canceled (or drained by Close) while suspended; that path already
-		// settled the suspended gauge and the checkpoint.
-		s.depth.Add(-1)
-		s.releaseQueueSlot()
-		return true
-	}
-	// Suspended wall time ends here: it must not count as queue wait (the
-	// job was parked at the caller's request, not starved by arbitration).
-	if at := j.suspendedAt.Swap(0); at != 0 {
-		j.suspendedNanos.Add(time.Now().UnixNano() - at)
-	}
-	home.suspendForget(j)
-	if j.tr != nil {
-		j.tr.Event(trace.EvResumed, s.cfg.shard, 0, fmt.Sprintf("cursor=%d", j.resumeFrom))
-		j.tr.Event(trace.EvAdmitted, s.cfg.shard, 0, "")
-	}
-	s.fq.push(j)
-	s.wake()
-	return true
 }
 
 // initCheckpoint attaches the store snapshot template to a freshly allocated
@@ -1149,92 +919,6 @@ func (s *Scheduler) deleteCheckpoint(j *Job) {
 	}
 }
 
-// noteSuspended registers a job that is parking and then publishes it
-// Suspended, in that order: gauges, the lifecycle event, the durable
-// snapshot, and last the suspended-set entry (Close's sweep target) together
-// with the state, both under suspendMu. A Resume acts only on a published
-// Suspended state, so it always finds the registration to undo and follows
-// the suspended event; Close's sweep either finds the job registered and
-// already Suspended, or has run before and left its cancellation to this
-// call. Called by Suspend (queued jobs, from stateSuspending) and by the last
-// quiescing participant (running jobs, from Running).
-func (s *Scheduler) noteSuspended(j *Job) {
-	if j.elastic {
-		// A parked job must leave the grow registry now, not at the next lazy
-		// prune: a resume re-admits it (which rewrites the elastic state in
-		// initElastic), and a grower or sibling lender still finding the old
-		// registry entry would race that re-initialization.
-		s.growMu.Lock()
-		delete(s.growSet, j)
-		s.growables.Store(int32(len(s.growSet)))
-		s.growMu.Unlock()
-	}
-	s.suspended.Add(1)
-	s.suspendedTotal.Add(1)
-	if j.tr != nil {
-		j.tr.Event(trace.EvSuspended, s.cfg.shard, 0, fmt.Sprintf("cursor=%d", j.resumeFrom))
-	}
-	s.writeCheckpoint(j)
-	s.suspendMu.Lock()
-	closedNow := s.suspendClosed
-	if !closedNow {
-		s.suspendSet[j] = struct{}{}
-	}
-	j.state.Store(int32(Suspended))
-	s.suspendMu.Unlock()
-	if closedNow {
-		s.cancelSuspendedForClose(j)
-	}
-}
-
-// suspendDrop unregisters a suspended job that was canceled: set, gauge and
-// — unlike the Close sweep — its checkpoint, because an explicit Cancel means
-// the job must not be recovered.
-func (s *Scheduler) suspendDrop(j *Job) {
-	s.suspendMu.Lock()
-	delete(s.suspendSet, j)
-	s.suspendMu.Unlock()
-	s.suspended.Add(-1)
-	s.deleteCheckpoint(j)
-}
-
-// suspendForget unregisters a suspended job that resumed. Its checkpoint
-// stays: the job is live again and the snapshot remains its recovery point
-// until the next suspension or completion overwrites or deletes it.
-func (s *Scheduler) suspendForget(j *Job) {
-	s.suspendMu.Lock()
-	delete(s.suspendSet, j)
-	s.suspendMu.Unlock()
-	s.suspended.Add(-1)
-	s.resumedTotal.Add(1)
-}
-
-// cancelSuspendedForClose cancels one suspended job during teardown,
-// deliberately keeping its checkpoint: shutting down with suspended jobs is
-// suspend-to-disk, and the next process recovers them from the store. Runs
-// before the blocked drain so a Blocked dependent of a suspended upstream
-// sees its upstream fail (and cancels) instead of deadlocking the drain.
-func (s *Scheduler) cancelSuspendedForClose(j *Job) {
-	j.depMu.Lock()
-	if !j.state.CompareAndSwap(int32(Suspended), int32(Canceled)) {
-		j.depMu.Unlock()
-		return
-	}
-	j.err = ErrCanceled
-	deps := j.dependents
-	j.dependents = nil
-	j.depMu.Unlock()
-	s.canceled.Add(1)
-	s.suspended.Add(-1)
-	if j.tr != nil {
-		j.tr.Event(trace.EvCanceled, s.cfg.shard, 0, "shutdown")
-	}
-	for _, d := range deps {
-		d.depDone(ErrCanceled)
-	}
-	j.finish()
-}
-
 // reserveBlockedSlot blocks until the blocked population is below
 // QueueDepth and reserves one slot, within maxWait (or not at all under
 // noWait). Slots drain as upstreams complete (or cancel), which never
@@ -1308,14 +992,24 @@ func (s *Scheduler) reserveQueueSlot(maxWait time.Duration, noWait bool) error {
 	return nil
 }
 
-// forceQueueSlot takes a queued slot without waiting, for paths that must
-// not block (released dependents, jobs stolen in from a sibling shard). The
-// population may transiently exceed QueueDepth; both sources are bounded
-// elsewhere (the blocked gate, the victim's own slot count).
-func (s *Scheduler) forceQueueSlot() {
+// joinQueue counts a job into this scheduler's queue on the paths that must
+// not block (released or resumed jobs, jobs stolen in from a sibling shard):
+// the depth, and a queued slot taken without waiting. The population may
+// transiently exceed QueueDepth; both sources are bounded elsewhere (the
+// blocked gate, the victim's own slot count).
+func (s *Scheduler) joinQueue() {
+	s.depth.Add(1)
 	s.gateMu.Lock()
 	s.queuedHeld++
 	s.gateMu.Unlock()
+}
+
+// leaveQueue counts a job out of this scheduler's queue (admitted, canceled,
+// suspended or stolen away): the depth other tenants' fair share is computed
+// from, and its queued slot.
+func (s *Scheduler) leaveQueue() {
+	s.depth.Add(-1)
+	s.releaseQueueSlot()
 }
 
 // releaseQueueSlot returns a queued slot (the job was admitted, canceled,
@@ -1646,33 +1340,6 @@ func (s *Scheduler) SetTenantWeight(name string, weight int) {
 	s.fq.setWeight(name, weight)
 }
 
-// admit molds a sub-team for one popped job from the popped idle workers and
-// performs the release wave. It returns the remaining idle set (unchanged
-// when the job was canceled while queued).
-func (s *Scheduler) admit(j *Job, idle []int) []int {
-	if !j.state.CompareAndSwap(int32(Pending), int32(Running)) {
-		return idle // canceled while queued; Cancel already adjusted depth
-	}
-	s.depth.Add(-1)
-	s.releaseQueueSlot()
-	want := s.teamSize(j, int(s.depth.Load()))
-	k := len(idle)
-	if k > want {
-		k = want
-	}
-	elastic := s.elasticFor(j)
-	var chunk, maxK int
-	if elastic {
-		chunk = s.chunkFor(j)
-		maxK = s.maxTeam(j, chunk)
-		if k > maxK {
-			k = maxK
-		}
-	}
-	s.releaseWave(j, idle[len(idle)-k:], elastic, chunk, maxK)
-	return idle[:len(idle)-k]
-}
-
 // grow distributes idle workers round-robin over the running elastic jobs
 // that can still use them. Called only when no tenant waits for admission,
 // so growth never starves a queued job.
@@ -1771,12 +1438,6 @@ func (s *Scheduler) worker(id int) {
 // completing worker exactly once per job.
 func (s *Scheduler) recordCompletion(j *Job) {
 	now := time.Now()
-	if j.elastic {
-		s.growMu.Lock()
-		delete(s.growSet, j)
-		s.growables.Store(int32(len(s.growSet)))
-		s.growMu.Unlock()
-	}
 	s.completed.Add(1)
 	acct := s.fq.account(j.tenant)
 	acct.completed.Add(1)
@@ -1806,9 +1467,6 @@ func (s *Scheduler) recordCompletion(j *Job) {
 	}
 	if hadDeadline {
 		acct.deadlineJobs.Add(1)
-	}
-	if j.workers.Load() > 0 {
-		s.running.Add(-1)
 	}
 	acct.runNanos.Add(int64(run))
 	// EWMA of recent run times (new = 3/4 old + 1/4 current) for the
@@ -1875,7 +1533,7 @@ func (s *Scheduler) Close() {
 	clear(s.suspendSet)
 	s.suspendMu.Unlock()
 	for _, j := range sweep {
-		s.cancelSuspendedForClose(j)
+		j.cancel(Suspended, nil, shutdownCancel)
 	}
 	// Blocked jobs drain next: their upstreams are already queued or
 	// running (here or on a sibling shard), so every one of them releases
@@ -1883,9 +1541,8 @@ func (s *Scheduler) Close() {
 	// condition, so the wait is event-driven. blockedHeld reaching zero
 	// implies the blocked gauge is zero too (slots retire strictly after
 	// the gauge decrement). Only then may the release window and the queue
-	// channel close — acceptReleased finishes its enqueue under the read
-	// lock, so after the write-lock barrier below no release can race the
-	// channel close.
+	// close — enqueue finishes its push under the read lock, so after the
+	// write-lock barrier below no release can race the close.
 	s.gateMu.Lock()
 	for s.blockedHeld > 0 {
 		s.gateCond.Wait()

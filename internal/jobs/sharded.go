@@ -288,10 +288,8 @@ func (p *Sharded) SubmitTo(shard int, req Request) (*Job, error) {
 }
 
 // stealFor pulls one whole queued job from the most convenient loaded
-// sibling and migrates it onto thief. Runs on thief's dispatcher goroutine.
-// Migration protocol: the Pending→stealing CAS excludes Cancel while the
-// job's home pointer and the two shards' depth counters move; Cancel during
-// the window fails (the job will run), and afterwards it lands on the thief.
+// sibling and migrates it onto thief (see migrate). Runs on thief's
+// dispatcher goroutine.
 func (p *Sharded) stealFor(thief *Scheduler) *Job {
 	if !p.ready.Load() || p.stealOff.Load() {
 		return nil
@@ -307,24 +305,9 @@ func (p *Sharded) stealFor(thief *Scheduler) *Job {
 		if j == nil {
 			continue
 		}
-		if !j.state.CompareAndSwap(int32(Pending), stateStealing) {
-			// Canceled while queued: Cancel already took it out of the
-			// depth; dropping it here is exactly what the victim's
-			// dispatcher would have done on pop.
-			continue
+		if p.migrate(j, victim, thief) {
+			return j
 		}
-		p.migrateBegin.Add(1)
-		victim.depth.Add(-1)
-		victim.releaseQueueSlot()
-		j.s = thief
-		thief.depth.Add(1)
-		thief.forceQueueSlot()
-		p.migrateEnd.Add(1)
-		j.state.Store(int32(Pending))
-		if j.tr != nil {
-			j.tr.Event(trace.EvStolen, thief.cfg.shard, 0, fmt.Sprintf("from=%d", victim.cfg.shard))
-		}
-		return j
 	}
 	return nil
 }

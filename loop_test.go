@@ -861,9 +861,14 @@ func TestPublicSubmitBatchAllocs(t *testing.T) {
 func TestAsyncSuspendResume(t *testing.T) {
 	pool := testPool(t, Config{Workers: 2})
 	const n = 200_000
+	// Chunks wait until the suspension is posted: otherwise a descheduled
+	// test goroutine could post it after the last chunk was claimed, and the
+	// job would complete instead of parking.
+	posted := make(chan struct{})
 	j := pool.SubmitReduceOpts(n, JobOptions{Commutative: true, Grain: 256}, 0,
 		func(a, b float64) float64 { return a + b },
 		func(_, low, high int, acc float64) float64 {
+			<-posted
 			for i := low; i < high; i++ {
 				acc += float64(i)
 			}
@@ -872,6 +877,7 @@ func TestAsyncSuspendResume(t *testing.T) {
 	if !j.Suspend() {
 		t.Fatal("Suspend refused on an in-flight job")
 	}
+	close(posted)
 	if !j.Suspend() {
 		t.Error("Suspend is not idempotent on a parked job")
 	}
