@@ -145,6 +145,45 @@ func TestForReduceNonCommutativeOrder(t *testing.T) {
 	}
 }
 
+// TestForCombineOrderedAppend folds caller-owned slice views by
+// concatenation, the canonical non-commutative reducer: the result must be
+// 0..n-1 exactly, after exactly P-1 combines, for every barrier and mode —
+// including the centralized full-barrier join, which folds serially after
+// the barrier instead of inside the wave.
+func TestForCombineOrderedAppend(t *testing.T) {
+	for _, p := range workerCounts() {
+		for _, cfg := range testConfigs(p) {
+			s := New(cfg)
+			for _, n := range []int{1, 13, 2000} {
+				views := make([][]int, p)
+				var combines atomic.Int32
+				s.ForCombine(n, func(w, begin, end int) {
+					for i := begin; i < end; i++ {
+						views[w] = append(views[w], i)
+					}
+				}, func(into, from int) {
+					combines.Add(1)
+					views[into] = append(views[into], views[from]...)
+					views[from] = nil
+				})
+				if c := int(combines.Load()); p > 1 && c != p-1 {
+					t.Fatalf("%s p=%d n=%d: %d combines, want %d", s.Name(), p, n, c, p-1)
+				}
+				got := views[0]
+				if len(got) != n {
+					t.Fatalf("%s p=%d n=%d: got %d elements", s.Name(), p, n, len(got))
+				}
+				for i, v := range got {
+					if v != i {
+						t.Fatalf("%s p=%d n=%d: element %d = %d (iteration order violated)", s.Name(), p, n, i, v)
+					}
+				}
+			}
+			s.Close()
+		}
+	}
+}
+
 func TestForReduceVec(t *testing.T) {
 	for _, p := range workerCounts() {
 		for _, cfg := range testConfigs(p) {

@@ -172,9 +172,9 @@ func TestGrainControlsChunkSize(t *testing.T) {
 }
 
 func TestCancelAdjustsQueueDepth(t *testing.T) {
-	// Canceled-while-queued jobs must leave the depth other tenants' fair
-	// share is computed from immediately — not only when the dispatcher
-	// eventually pops them.
+	// Canceled-while-queued jobs must leave the queue and the depth other
+	// tenants' fair share is computed from immediately — not only when the
+	// dispatcher eventually pops them.
 	s := testScheduler(t, 1, Config{})
 	release := make(chan struct{})
 	blocker, err := s.Submit(Request{N: 1, Body: func(w, lo, hi int) { <-release }})
@@ -200,17 +200,49 @@ func TestCancelAdjustsQueueDepth(t *testing.T) {
 			t.Fatal("Cancel returned false for a queued job")
 		}
 	}
-	// The depth drops synchronously with Cancel, while the canceled jobs
-	// are still physically in the queue.
+	// The depth drops synchronously with Cancel, and the entries leave the
+	// queue with it.
 	if st := s.Stats(); st.QueueDepth != 0 {
 		t.Errorf("queue depth = %d after cancels, want 0", st.QueueDepth)
+	}
+	if q := s.fq.len(); q != 0 {
+		t.Errorf("%d canceled entries still queued, want 0", q)
+	}
+	// So every canceled job can be Released, and reused by the next
+	// submissions, while the blocker still runs.
+	released := make(map[*Job]bool)
+	for _, v := range victims {
+		if _, err := v.Wait(); !errors.Is(err, ErrCanceled) {
+			t.Fatalf("canceled job's Wait = %v, want ErrCanceled", err)
+		}
+		v.Release()
+		released[v] = true
+	}
+	var reused []*Job
+	for range victims {
+		j, err := s.Submit(Request{N: 10, Body: func(w, lo, hi int) {}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !released[j] {
+			t.Error("submission did not reuse a released canceled job")
+		}
+		reused = append(reused, j)
+	}
+	if st := blocker.State(); st != Running {
+		t.Fatalf("blocker in state %v before its release, want Running", st)
 	}
 	close(release)
 	if _, err := blocker.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	// The dispatcher skips the canceled jobs without double-decrementing:
-	// after another job flows through, the depth is exactly zero again.
+	for _, j := range reused {
+		if _, err := j.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// No double decrement: after another job flows through, the depth is
+	// exactly zero again.
 	j, err := s.Submit(Request{N: 10, Body: func(w, lo, hi int) {}})
 	if err != nil {
 		t.Fatal(err)
@@ -369,6 +401,7 @@ func TestPeelNeverTouchesRecycledJob(t *testing.T) {
 	// sub id is in use twice at once.
 	s := testScheduler(t, 4, Config{Tracer: trace.NewTracer(16)})
 	const submitters, rounds, n = 2, 2000, 4
+	forcePeel(t, s, n)
 	var dup atomic.Bool
 	var wg sync.WaitGroup
 	for g := 0; g < submitters; g++ {
@@ -403,5 +436,40 @@ func TestPeelNeverTouchesRecycledJob(t *testing.T) {
 	}
 	if s.Stats().Peeled == 0 {
 		t.Error("no participant peeled; the test exercised nothing")
+	}
+}
+
+// forcePeel makes at least one participant of s peel, whatever the timing:
+// a job of workers one-iteration chunks holds every worker of s inside its
+// body until a second job is queued behind it, so the first participant to
+// finish its chunk finds a tenant waiting while the others still hold the
+// job, and peels.
+func forcePeel(t *testing.T, s *Scheduler, workers int) {
+	t.Helper()
+	var entered atomic.Int32
+	hold := make(chan struct{})
+	release := sync.OnceFunc(func() { close(hold) })
+	defer release()
+	held, err := s.Submit(Request{N: workers, Grain: 1, Body: func(w, lo, hi int) {
+		entered.Add(1)
+		<-hold
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "every worker inside the holding job", func() bool { return entered.Load() == int32(workers) })
+	queued, err := s.Submit(Request{N: 1, Body: func(w, lo, hi int) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := queued.State(); st != Pending {
+		t.Fatalf("job behind a full team in state %v, want Pending", st)
+	}
+	release()
+	for _, j := range []*Job{held, queued} {
+		if _, err := j.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		j.Release()
 	}
 }

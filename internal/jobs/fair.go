@@ -387,12 +387,13 @@ func (fq *fairQueue) pop() *Job {
 }
 
 // remove takes a specific queued job out of the queue, reporting whether it
-// was present. It is Suspend's eager dequeue: removing the entry FIRST gives
-// the suspender exclusive ownership of it (the dispatcher and stealing
-// siblings always pop before their admission CAS), so no stale entry can
-// linger behind a state flip. The linear scan is fine — remove runs on the
-// suspend control path, never on admission or execution paths. No pass is
-// charged: the tenant never received service for the entry.
+// was present. It is Suspend's and Cancel's eager dequeue: removing the
+// entry FIRST gives the caller exclusive ownership of it (the dispatcher and
+// stealing siblings always pop before their admission CAS), so no stale
+// entry can linger behind a state flip. The linear scan is fine — remove
+// runs on the suspend and cancel control paths, never on admission or
+// execution paths. No pass is charged: the tenant never received service
+// for the entry.
 func (fq *fairQueue) remove(j *Job) bool {
 	fq.mu.Lock()
 	defer fq.mu.Unlock()
@@ -425,23 +426,28 @@ func (fq *fairQueue) remove(j *Job) bool {
 	return false
 }
 
-// peek returns the job pop would return next, without popping or charging
-// (the clock still advances to the current class floor, which is
-// idempotent and side-effect-equivalent to the pop that follows).
-func (fq *fairQueue) peek() *Job {
+// peek returns the priority and deadline of the job pop would return next,
+// without popping or charging (the clock still advances to the current
+// class floor, which is idempotent and side-effect-equivalent to the pop
+// that follows). It copies them under the lock: once the lock is released,
+// the job may be canceled, and its owner may Release and recycle it.
+func (fq *fairQueue) peek() (prio int, deadline time.Time, ok bool) {
 	fq.mu.Lock()
 	defer fq.mu.Unlock()
-	if fq.size == 0 {
-		return nil
+	var j *Job
+	switch {
+	case fq.size == 0:
+	case fq.fifo:
+		j = fq.fifoQ[0]
+	default:
+		if best := fq.bestLocked(); best != nil {
+			j = best.q[0]
+		}
 	}
-	if fq.fifo {
-		return fq.fifoQ[0]
+	if j == nil {
+		return 0, time.Time{}, false
 	}
-	best := fq.bestLocked()
-	if best == nil {
-		return nil
-	}
-	return best.q[0]
+	return j.prio, j.deadline, true
 }
 
 // len returns the number of queued jobs.

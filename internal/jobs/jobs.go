@@ -68,7 +68,8 @@
 //     release wave; grow registry.
 //   - complete (Job.complete): one store; grow registry and running gauge;
 //     statistics, EvJoined, checkpoint delete; dependents; waiters.
-//   - cancel (Job.cancel): CAS, error and dependent snapshot under depMu;
+//   - cancel (Job.cancel; Job.Cancel takes a queued job's entry out first):
+//     CAS, error and dependent snapshot under depMu;
 //     gauges, checkpoint delete (kept by Close's sweep); EvCanceled;
 //     dependents; waiters.
 //   - block (Job.block): store; EvBlocked; upstream registration, which may
@@ -85,7 +86,7 @@
 //     registry and running gauge; then as suspend.
 //   - steal (Sharded.migrate): CAS into stealing*; queue slot and depth move
 //     to the thief; store; EvStolen.
-//   - recycle (Scheduler.freeJob): a Released Done job becomes a fresh
+//   - recycle (Scheduler.freeJob): a Released terminal job becomes a fresh
 //     Pending generation.
 //
 // * stealing and suspending are transient: State reports them as Pending,
@@ -392,6 +393,11 @@ type Job struct {
 	depMu      sync.Mutex
 	dependents []*Job
 	depErr     error
+	// upstreamHeld marks a job its owner canceled while Blocked: upstreams
+	// still list it as a dependent and touch it when they turn terminal, so
+	// Release must not recycle it. Written before finish publishes the
+	// terminal state, read by Release under waitMu.
+	upstreamHeld bool
 }
 
 // State returns the job's current state.
@@ -465,17 +471,15 @@ func (j *Job) Wait() (float64, error) {
 // rather than another job's data. Releasing is optional: unreleased jobs are
 // garbage-collected as before.
 func (j *Job) Release() {
-	// Only completed jobs are recyclable. A job canceled from Pending is
-	// still referenced by the fair queue until the dispatcher (or a
-	// stealing sibling) pops it and drops it on the failed admission CAS;
-	// recycling it here would hand the freelist a job the heap still
-	// compares and the dispatcher could re-admit after the field reset.
-	// Canceled handles simply stay garbage-collected.
-	if State(j.state.Load()) != Done {
+	// Only terminal jobs nothing else still references are recyclable:
+	// completed ones and canceled ones — a queued job leaves its queue when
+	// canceled — except a job canceled while Blocked, whose upstreams still
+	// list it. Such a handle simply stays garbage-collected.
+	if st := State(j.state.Load()); st != Done && st != Canceled {
 		return
 	}
 	j.waitMu.Lock()
-	ok := j.terminal
+	ok := j.terminal && !j.upstreamHeld
 	if ok {
 		// Claim the release under waitMu so two racing Release calls cannot
 		// both recycle (terminal flips false for the next generation only
@@ -493,11 +497,38 @@ func (j *Job) Release() {
 
 // Cancel cancels the job if it has not been admitted yet and reports whether
 // it did. A running or completed job is not interrupted: cancellation is an
-// admission-queue operation, the execution hot path is never arbitrated.
-// Canceling a job also cancels its not-yet-started dependents: their Wait
-// errors match ErrCanceled and wrap this job's error.
+// admission-queue operation, the execution hot path is never arbitrated. A
+// queued job leaves its queue at once, so a canceled job pins nothing there
+// and can be Released right away. Canceling a job also cancels its
+// not-yet-started dependents: their Wait errors match ErrCanceled and wrap
+// this job's error.
 func (j *Job) Cancel() bool {
-	return j.cancel(Blocked, nil, "") || j.cancel(Suspended, nil, "") || j.cancel(Pending, nil, "")
+	for {
+		switch st := j.state.Load(); st {
+		case int32(Blocked), int32(Suspended):
+			if j.cancel(State(st), nil, "") {
+				return true
+			}
+			// Released or resumed meanwhile: re-read the state.
+		case int32(Pending):
+			if j.home == nil {
+				return false
+			}
+			// Take the queue entry out first, as Suspend does: whoever
+			// removes the entry is the one side that leaves the queue for
+			// the job.
+			if j.dequeue() != nil {
+				return j.cancel(Pending, nil, "")
+			}
+			// Pending but in no queue: mid-pop, mid-steal or mid-push. The
+			// other side's next step ends the window.
+			runtime.Gosched()
+		case stateStealing, stateSuspending:
+			runtime.Gosched()
+		default:
+			return false
+		}
+	}
 }
 
 // Suspend takes the job out of service with its progress captured, so it can
@@ -553,16 +584,19 @@ func (j *Job) Suspend() bool {
 // now. A job only ever sits in the queue of the scheduler it is accounted to
 // (j.s), but j.s is not read here: a sibling shard stealing the job rewrites
 // it concurrently. Trying every shard's queue under its own lock instead
-// orders this call after whichever push put the job there.
+// orders this call after whichever push put the job there. The shards come
+// from the home's pool, not j.pool, which is nil for pinned jobs that a
+// sibling may still steal.
 func (j *Job) dequeue() *Scheduler {
-	if j.pool == nil {
+	p := j.home.cfg.pool
+	if p == nil {
 		// A standalone scheduler never migrates its jobs: j.s is j.home.
 		if j.home.fq.remove(j) {
 			return j.home
 		}
 		return nil
 	}
-	for _, s := range j.pool.shards {
+	for _, s := range p.shards {
 		if s.fq.remove(j) {
 			return s
 		}

@@ -70,8 +70,9 @@ func (s *Scheduler) completeInline(j *Job, from State) {
 
 // admit is the dispatcher's Pending → Running edge for one popped job: it
 // molds a sub-team from the popped idle workers and performs the release
-// wave. It returns the remaining idle set (unchanged when the job was
-// canceled while queued: cancel already left the queue for it).
+// wave. It returns the remaining idle set (unchanged if the job is no longer
+// Pending; every other edge out of Pending takes the queue entry first, so
+// a popped job always is).
 func (s *Scheduler) admit(j *Job, idle []int) []int {
 	if !j.state.CompareAndSwap(int32(Pending), int32(Running)) {
 		return idle
@@ -237,11 +238,13 @@ func (j *Job) cancel(from State, upErr error, reason string) bool {
 	s := j.home
 	switch from {
 	case Pending:
-		// The entry stays in the queue until a pop drops it on the failed
-		// admission CAS, so exactly one side leaves the queue for the job.
+		// Job.Cancel took the entry out of the queue first, so this is the
+		// one side that leaves the queue for the job.
 		s = j.s
 		s.leaveQueue()
 	case Blocked:
+		// Upstreams that have not turned terminal still list the job.
+		j.upstreamHeld = upErr == nil
 		s.blocked.Add(-1)
 		s.signalBlockedFreed()
 	case Suspended:
@@ -335,9 +338,9 @@ func (s *Scheduler) enqueue(j *Job, from State) bool {
 }
 
 // suspendQueued is the Pending → Suspended edge for a job the caller already
-// took out of s's queue (see Job.Suspend). A failed CAS means Cancel won the
-// window and left the queue for the job; dropping the removed entry is what
-// the dispatcher's failed admission CAS would have done on pop.
+// took out of s's queue (see Job.Suspend). Owning the entry excludes every
+// other edge out of Pending (admit and steal pop first, Cancel dequeues
+// first), so the CAS fails only if that rule is broken.
 func (j *Job) suspendQueued(s *Scheduler) bool {
 	if !j.state.CompareAndSwap(int32(Pending), stateSuspending) {
 		return false
@@ -409,8 +412,8 @@ func (s *Scheduler) unregisterSuspended(j *Job) {
 // migrate is the steal edge, Pending → stealing → Pending, for a job thief
 // popped from victim's queue. The transient state excludes Cancel while the
 // queue accounting and the scheduler pointer move, so they land on exactly
-// one shard. A job canceled while queued fails the CAS and is dropped, as
-// the victim's dispatcher would have dropped it on pop.
+// one shard. The thief popped the job, so no other edge out of Pending can
+// race the CAS.
 func (p *Sharded) migrate(j *Job, victim, thief *Scheduler) bool {
 	if !j.state.CompareAndSwap(int32(Pending), stateStealing) {
 		return false

@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"loopsched/internal/trace"
@@ -103,6 +105,44 @@ func TestCancelPublishesAfterBookkeeping(t *testing.T) {
 		if failures > 0 {
 			t.Errorf("%v: %d of %d cancellations woke a waiter before their bookkeeping", c.from, failures, iters)
 		}
+	}
+}
+
+// TestReleaseKeepsCanceledBlockedJob: a dependent its owner canceled while
+// Blocked is still listed by its upstream, so Release must not recycle it —
+// the upstream's completion would otherwise count against whichever job
+// reused it, releasing that job before its own upstream finished.
+func TestReleaseKeepsCanceledBlockedJob(t *testing.T) {
+	s := testScheduler(t, 2, Config{})
+	req1, gate1 := gate()
+	req2, gate2 := gate()
+	open1 := sync.OnceFunc(func() { close(gate1) })
+	open2 := sync.OnceFunc(func() { close(gate2) })
+	t.Cleanup(open1)
+	t.Cleanup(open2)
+	up1, up2 := mustSubmit(t, s, req1), mustSubmit(t, s, req2)
+	d := mustSubmit(t, s, Request{N: 1, Body: func(w, lo, hi int) {}, After: []*Job{up1}})
+	if !d.Cancel() {
+		t.Fatal("Cancel refused a Blocked job")
+	}
+	d.Release()
+	var up2Done atomic.Bool
+	x := mustSubmit(t, s, Request{N: 1, After: []*Job{up2}, Body: func(w, lo, hi int) {
+		if !up2Done.Load() {
+			t.Error("dependent ran before its upstream completed")
+		}
+	}})
+	open1()
+	if _, err := up1.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if st := x.State(); st != Blocked {
+		t.Fatalf("dependent in state %v after an unrelated job completed, want Blocked", st)
+	}
+	up2Done.Store(true)
+	open2()
+	if _, err := x.Wait(); err != nil {
+		t.Fatal(err)
 	}
 }
 

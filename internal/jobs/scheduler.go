@@ -380,16 +380,16 @@ func (s *Scheduler) wake() {
 // queued (depth), a running elastic job to grow back onto (growables), or
 // sibling shards to scan for steals and lends (hooks; the steal timer is
 // only armed while the dispatcher knows idle workers exist, so the wake must
-// not be skipped), or a Close waiting for the dispatcher to drain the queue
-// (entries of jobs canceled while queued count in no depth, and only a pop
-// with a worker in hand drops them). In the single-shard idle steady state
-// every completion would otherwise pay a full empty dispatch scan.
+// not be skipped). Every queue entry counts in depth from before its push
+// to after its removal, so the depth test also wakes a Close waiting for the
+// dispatcher to drain the queue. In the single-shard idle steady state every
+// completion would otherwise pay a full empty dispatch scan.
 func (s *Scheduler) parkWorker(id int) {
 	s.idleMu.Lock()
 	s.idleIDs = append(s.idleIDs, id)
 	s.idleMu.Unlock()
 	s.idleCond.Signal()
-	if s.depth.Load() > 0 || s.growables.Load() > 0 || s.cfg.hooks != nil || s.intakeClosed.Load() {
+	if s.depth.Load() > 0 || s.growables.Load() > 0 || s.cfg.hooks != nil {
 		s.wake()
 	}
 }
@@ -524,7 +524,7 @@ func (s *Scheduler) submit(req Request, pool *Sharded) (*Job, error) {
 		// frees (an earlier dependent released or canceled), bounded by
 		// MaxWait/NoWait like the queued gate. Held locks would block Close,
 		// so the wait happens before the read lock.
-		if err := s.reserveBlockedSlot(s.cfg.MaxWait, req.NoWait); err != nil {
+		if err := s.reserveSlots(&s.blockedHeld, 1, s.cfg.MaxWait, req.NoWait); err != nil {
 			s.backlogged.Add(1)
 			s.cfg.admission.noteBacklogged(j.tenant)
 			if j.tr != nil {
@@ -577,7 +577,7 @@ func (s *Scheduler) submit(req Request, pool *Sharded) (*Job, error) {
 	// queued job holds one slot, reserved within MaxWait (or not at all
 	// under NoWait). A held lock would block Close, so the wait happens
 	// before the read lock.
-	if err := s.reserveQueueSlot(s.cfg.MaxWait, req.NoWait); err != nil {
+	if err := s.reserveSlots(&s.queuedHeld, 1, s.cfg.MaxWait, req.NoWait); err != nil {
 		s.backlogged.Add(1)
 		s.cfg.admission.noteBacklogged(j.tenant)
 		if j.tr != nil {
@@ -737,7 +737,7 @@ func (s *Scheduler) submitBatchChunk(reqs []Request, out []*Job) error {
 		}
 	}
 	if queued > 0 {
-		if err := s.reserveQueueSlots(queued, s.cfg.MaxWait); err != nil {
+		if err := s.reserveSlots(&s.queuedHeld, queued, s.cfg.MaxWait, false); err != nil {
 			// The whole chunk is rejected before any job was created; each
 			// rejected request counts as one shed.
 			s.backlogged.Add(int64(queued))
@@ -791,29 +791,35 @@ func (s *Scheduler) submitBatchChunk(reqs []Request, out []*Job) error {
 	return nil
 }
 
-// reserveQueueSlots blocks until n queued slots are available and reserves
-// them (n must not exceed QueueDepth; SubmitBatch chunks accordingly),
-// bounded by maxWait (<= 0 waits forever, the pre-admission-control
-// behavior).
-func (s *Scheduler) reserveQueueSlots(n int, maxWait time.Duration) error {
+// reserveSlots blocks until n more jobs fit under QueueDepth in the
+// population *held counts (queuedHeld or blockedHeld) and reserves them,
+// within maxWait (<= 0 waits forever), or not at all under noWait. n must
+// not exceed QueueDepth (SubmitBatch chunks accordingly). Slots drain as the
+// dispatcher admits jobs, as upstreams complete or as jobs are canceled,
+// never on the caller, so an unbounded wait always ends.
+func (s *Scheduler) reserveSlots(held *int, n int, maxWait time.Duration, noWait bool) error {
 	s.gateMu.Lock()
-	if s.queuedHeld+n <= s.cfg.QueueDepth {
-		s.queuedHeld += n
+	if *held+n <= s.cfg.QueueDepth {
+		*held += n
 		s.gateMu.Unlock()
 		return nil
+	}
+	if noWait {
+		s.gateMu.Unlock()
+		return s.backloggedError()
 	}
 	deadline, timer := s.armGateTimeout(maxWait)
 	if timer != nil {
 		defer timer.Stop()
 	}
-	for s.queuedHeld+n > s.cfg.QueueDepth {
+	for *held+n > s.cfg.QueueDepth {
 		if timer != nil && !time.Now().Before(deadline) {
 			s.gateMu.Unlock()
 			return s.backloggedError()
 		}
 		s.gateCond.Wait()
 	}
-	s.queuedHeld += n
+	*held += n
 	s.gateMu.Unlock()
 	return nil
 }
@@ -919,37 +925,6 @@ func (s *Scheduler) deleteCheckpoint(j *Job) {
 	}
 }
 
-// reserveBlockedSlot blocks until the blocked population is below
-// QueueDepth and reserves one slot, within maxWait (or not at all under
-// noWait). Slots drain as upstreams complete (or cancel), which never
-// depends on the caller, so an unbounded wait (maxWait <= 0) always ends.
-func (s *Scheduler) reserveBlockedSlot(maxWait time.Duration, noWait bool) error {
-	s.gateMu.Lock()
-	if s.blockedHeld < s.cfg.QueueDepth {
-		s.blockedHeld++
-		s.gateMu.Unlock()
-		return nil
-	}
-	if noWait {
-		s.gateMu.Unlock()
-		return s.backloggedError()
-	}
-	deadline, timer := s.armGateTimeout(maxWait)
-	if timer != nil {
-		defer timer.Stop()
-	}
-	for s.blockedHeld >= s.cfg.QueueDepth {
-		if timer != nil && !time.Now().Before(deadline) {
-			s.gateMu.Unlock()
-			return s.backloggedError()
-		}
-		s.gateCond.Wait()
-	}
-	s.blockedHeld++
-	s.gateMu.Unlock()
-	return nil
-}
-
 // signalBlockedFreed returns a blocked slot (the job released, canceled, or
 // failed submission) and wakes the gate waiters: submitters parked at the
 // cap and a Close draining the blocked population. Broadcast, not Signal —
@@ -959,37 +934,6 @@ func (s *Scheduler) signalBlockedFreed() {
 	s.blockedHeld--
 	s.gateCond.Broadcast()
 	s.gateMu.Unlock()
-}
-
-// reserveQueueSlot blocks until the queued population is below QueueDepth
-// and reserves one slot, within maxWait (or not at all under noWait). Slots
-// drain as the dispatcher admits jobs (or as they are canceled), which never
-// depends on the caller, so an unbounded wait (maxWait <= 0) always ends.
-func (s *Scheduler) reserveQueueSlot(maxWait time.Duration, noWait bool) error {
-	s.gateMu.Lock()
-	if s.queuedHeld < s.cfg.QueueDepth {
-		s.queuedHeld++
-		s.gateMu.Unlock()
-		return nil
-	}
-	if noWait {
-		s.gateMu.Unlock()
-		return s.backloggedError()
-	}
-	deadline, timer := s.armGateTimeout(maxWait)
-	if timer != nil {
-		defer timer.Stop()
-	}
-	for s.queuedHeld >= s.cfg.QueueDepth {
-		if timer != nil && !time.Now().Before(deadline) {
-			s.gateMu.Unlock()
-			return s.backloggedError()
-		}
-		s.gateCond.Wait()
-	}
-	s.queuedHeld++
-	s.gateMu.Unlock()
-	return nil
 }
 
 // joinQueue counts a job into this scheduler's queue on the paths that must
@@ -1270,11 +1214,11 @@ func (s *Scheduler) preemptForWaiting() {
 	if len(s.growSet) == 0 {
 		return
 	}
-	head := s.fq.peek()
-	if head == nil {
+	headPrio, headDeadline, ok := s.fq.peek()
+	if !ok {
 		return
 	}
-	risk := s.deadlineRisk(head)
+	risk := s.deadlineRisk(headDeadline)
 	if s.runningScratch == nil {
 		s.runningScratch = make(map[string]int)
 		s.sharesScratch = make(map[string]int)
@@ -1290,7 +1234,7 @@ func (s *Scheduler) preemptForWaiting() {
 		if allowed < 1 {
 			allowed = 1
 		}
-		if (head.prio > j.prio || risk) && allowed > 1 {
+		if (headPrio > j.prio || risk) && allowed > 1 {
 			allowed = (allowed + 1) / 2
 		}
 		target := int32(allowed)
@@ -1314,12 +1258,12 @@ func (s *Scheduler) preemptForWaiting() {
 // that waiting for a running job to finish on its own would likely miss it:
 // within twice the recent average job run time (floored at 1ms so a cold
 // scheduler still honors tight deadlines).
-func (s *Scheduler) deadlineRisk(j *Job) bool {
-	if j.deadline.IsZero() {
+func (s *Scheduler) deadlineRisk(deadline time.Time) bool {
+	if deadline.IsZero() {
 		return false
 	}
 	now := time.Now()
-	if !j.deadline.After(now) {
+	if !deadline.After(now) {
 		// Already missed: no amount of preemption can save it, so shrinking
 		// well-behaved tenants' running jobs for it would be pure harm — a
 		// deadline-spamming tenant must not preempt its way through the
@@ -1330,7 +1274,7 @@ func (s *Scheduler) deadlineRisk(j *Job) bool {
 	if horizon < time.Millisecond {
 		horizon = time.Millisecond
 	}
-	return !j.deadline.After(now.Add(horizon))
+	return !deadline.After(now.Add(horizon))
 }
 
 // SetTenantWeight registers (or re-weights) a tenant's fair-share weight;

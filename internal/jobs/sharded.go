@@ -48,22 +48,6 @@ func (c *ShardedConfig) normalize() {
 	}
 }
 
-// ResolveShardCount returns the shard count NewSharded builds for the given
-// total worker count and requested shard count (<= 0 selects the
-// topology-derived default): the clamp to one-worker-per-shard plus the tail
-// merge from ceil group sizing. Callers that need to predict the layout
-// without instantiating the pool (Pool.AsyncShards) share this logic so the
-// prediction cannot drift from the runtime.
-func ResolveShardCount(workers, shards int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	cfg := ShardedConfig{Config: Config{Workers: workers}, Shards: shards}
-	cfg.normalize()
-	groupSize := (cfg.Workers + cfg.Shards - 1) / cfg.Shards
-	return topology.New(cfg.Workers, groupSize).NumGroups
-}
-
 // Sharded partitions one worker set into per-topology-domain shards, each a
 // full Scheduler with its own dispatcher event loop, behind a lightweight
 // router. Submitted jobs are admitted to the least-loaded shard (or pinned

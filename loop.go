@@ -29,7 +29,12 @@
 // The baseline runtimes the paper compares against (an OpenMP-style
 // fork/join runtime and a Cilk-style work-stealing runtime) live under
 // internal/ and are exercised by the benchmark harness in cmd/ and
-// bench_test.go; library users only need this package.
+// bench_test.go; library users only need this package. A Pool always runs
+// the paper's tree half-barrier: the ablations (full barriers, the
+// centralized barrier, tree fan-outs) run through internal/core in
+// cmd/burden, and the async jobs runtime's knobs (grain, rigid teams,
+// shards, overload protection) are jobs.Config fields, set from loopd's
+// flags.
 package loopsched
 
 import (
@@ -61,95 +66,22 @@ type (
 	TraceSubscription = trace.Subscription
 )
 
-// BarrierKind selects the synchronisation substrate of a Pool.
-type BarrierKind int
-
-// Barrier kinds.
-const (
-	// BarrierTree is a topology-aligned tree barrier (the default and the
-	// paper's choice).
-	BarrierTree BarrierKind = iota
-	// BarrierCentralized is a single-counter barrier; it is simpler but its
-	// cost grows linearly with the worker count.
-	BarrierCentralized
-)
-
 // Config configures a Pool. The zero value selects the defaults: all
-// available processors, tree barrier, half-barrier synchronisation, workers
-// locked to OS threads.
+// available processors, workers locked to OS threads, tracing off.
 type Config struct {
 	// Workers is the team size including the caller; <= 0 selects
 	// runtime.GOMAXPROCS(0).
 	Workers int
-	// Barrier selects the synchronisation substrate.
-	Barrier BarrierKind
-	// FullBarrier disables the half-barrier optimisation and uses
-	// conventional full barriers at fork and join; it exists for
-	// experimentation and for reproducing the paper's ablation.
-	FullBarrier bool
-	// GroupSize overrides the number of workers assumed to share a cache
-	// domain when shaping the barrier tree; <= 0 uses a heuristic.
-	GroupSize int
-	// InnerFanout and OuterFanout tune the barrier tree's fan-out within and
-	// across groups; values < 2 select the defaults.
-	InnerFanout, OuterFanout int
 	// DisableThreadLock keeps workers as ordinary goroutines instead of
 	// locking them to OS threads. Locking is the default because it gives
 	// the scheduler stable worker identities; disable it when creating many
 	// short-lived pools (for example, in tests).
 	DisableThreadLock bool
-	// AsyncGrain is the default self-scheduling chunk size (in iterations)
-	// for asynchronously submitted jobs; <= 0 selects a per-job heuristic.
-	// Individual jobs override it with JobOptions.Grain.
-	AsyncGrain int
-	// AsyncRigid disables elastic sub-teams on the async runtime: every
-	// job's sub-team is frozen at admission and partitioned statically, the
-	// paper's rigid-team behaviour. It exists for comparison and for callers
-	// that require the static-block body contract.
-	AsyncRigid bool
-	// AsyncShards partitions the async runtime's workers into per-topology-
-	// domain shards, each with its own dispatcher, router-admitted to the
-	// least-loaded shard with cross-shard work stealing between them.
-	// 0 selects a single shard (one dispatcher, the pre-sharding behaviour);
-	// < 0 derives the shard count from the machine topology (one shard per
-	// cache/socket group); >= 2 selects that many shards.
-	AsyncShards int
-	// AsyncStealInterval is how often a fully idle shard re-scans its
-	// siblings for queued jobs to steal or elastic jobs to lend workers to;
-	// <= 0 selects the default (200µs). Ignored with fewer than two shards.
-	AsyncStealInterval time.Duration
 	// Trace enables lifecycle tracing on the async runtime: every job
 	// records a span of its transitions (submit, admission, dispatch,
 	// elastic churn, join) and finished traces are kept in a ring queryable
 	// through Pool.Tracer. Tracing off costs one nil check per transition.
 	Trace bool
-	// TraceCapacity is the number of finished job traces retained;
-	// <= 0 selects the default (1024). Ignored unless Trace is set.
-	TraceCapacity int
-	// SLOTarget is the per-tenant deadline-hit objective burn rates are
-	// measured against in the async runtime's SLO snapshots; outside (0, 1)
-	// selects the default (0.99).
-	SLOTarget float64
-	// MaxWait bounds how long an async submission may block for an admission
-	// queue slot once the queue is full: past it the submission is rejected
-	// with ErrBacklogged carrying a suggested retry delay. <= 0 keeps the
-	// default unbounded block. See also JobOptions.NoWait.
-	MaxWait time.Duration
-	// ShedInfeasible makes the async runtime reject, with ErrInfeasible and
-	// a suggested retry delay, deadline jobs whose deadline could not be met
-	// even if the queue drained at the measured service rate — instead of
-	// admitting them only to miss.
-	ShedInfeasible bool
-	// BreakerBurnRate arms per-tenant circuit breakers on the async runtime:
-	// a tenant whose recent deadline outcomes imply an SLO burn rate at or
-	// above this limit, while it holds a meaningful share of the queue, is
-	// shed at intake with ErrBreakerOpen until a cooldown and a successful
-	// probe. <= 0 (the default) disables the breakers.
-	BreakerBurnRate float64
-	// BreakerCooldown is how long an open breaker sheds before probing for
-	// recovery; <= 0 selects the default (250ms). Ignored unless
-	// BreakerBurnRate is set.
-	BreakerCooldown time.Duration
 }
 
 // Pool is a team of persistent workers executing parallel loops. The
@@ -181,14 +113,6 @@ type Pool struct {
 	// either. Bounded; overflow falls to the garbage collector.
 	handleMu   sync.Mutex
 	handleFree []*Job
-
-	// batchMu/batchReqs/batchJobs are SubmitBatch's reusable translation
-	// scratch (public requests -> runtime requests -> runtime handles).
-	// Serializing concurrent batches on one scratch is deliberate: the batch
-	// API amortizes locking, it is not a latency path.
-	batchMu   sync.Mutex
-	batchReqs []jobs.Request
-	batchJobs []*jobs.Job
 }
 
 // maxFreeHandles bounds the public handle freelist.
@@ -196,48 +120,22 @@ const maxFreeHandles = 1024
 
 // New creates a pool. Call Close to release its workers.
 func New(cfg Config) *Pool {
-	kind := core.BarrierTree
-	if cfg.Barrier == BarrierCentralized {
-		kind = core.BarrierCentralized
-	}
-	mode := core.ModeHalf
-	if cfg.FullBarrier {
-		mode = core.ModeFull
-	}
-	s := core.New(core.Config{
-		Workers:      cfg.Workers,
-		Barrier:      kind,
-		Mode:         mode,
-		GroupSize:    cfg.GroupSize,
-		InnerFanout:  cfg.InnerFanout,
-		OuterFanout:  cfg.OuterFanout,
-		LockOSThread: !cfg.DisableThreadLock,
-	})
+	s := core.New(core.Config{Workers: cfg.Workers, LockOSThread: !cfg.DisableThreadLock})
 	var tracer *trace.Tracer
 	if cfg.Trace {
-		tracer = trace.NewTracer(cfg.TraceCapacity)
+		tracer = trace.NewTracer(0)
 	}
 	// The async team is never locked to OS threads: unlike the synchronous
 	// team's spin-waiting workers, jobs workers park on channels between
 	// jobs, and pinning a second P threads would only oversubscribe the
 	// machine.
-	asyncCfg := jobs.ShardedConfig{
-		Config: jobs.Config{
-			Workers:         s.P(),
-			DefaultGrain:    cfg.AsyncGrain,
-			DisableElastic:  cfg.AsyncRigid,
-			Tracer:          tracer,
-			SLOTarget:       cfg.SLOTarget,
-			MaxWait:         cfg.MaxWait,
-			ShedInfeasible:  cfg.ShedInfeasible,
-			BreakerBurnRate: cfg.BreakerBurnRate,
-			BreakerCooldown: cfg.BreakerCooldown,
-			Name:            "async-" + s.Name(),
+	return &Pool{
+		s: s,
+		asyncCfg: jobs.ShardedConfig{
+			Config: jobs.Config{Workers: s.P(), Tracer: tracer, Name: "async-" + s.Name()},
+			Shards: 1,
 		},
-		Shards:        resolveShardRequest(cfg.AsyncShards),
-		StealInterval: cfg.AsyncStealInterval,
 	}
-	return &Pool{s: s, asyncCfg: asyncCfg}
 }
 
 // NewDefault creates a pool with the default configuration.
@@ -293,35 +191,6 @@ func (p *Pool) Tenant(name string, weight int) {
 	}
 }
 
-// AsyncShards returns the shard count the async runtime has (or will have
-// on first use: observing a pool must not instantiate its worker teams), or
-// 0 after Close.
-func (p *Pool) AsyncShards() int {
-	p.jobsMu.Lock()
-	rt, closed := p.jobsRT, p.jobsClosed
-	p.jobsMu.Unlock()
-	if rt != nil {
-		return rt.Shards()
-	}
-	if closed {
-		return 0
-	}
-	return jobs.ResolveShardCount(p.s.P(), p.asyncCfg.Shards)
-}
-
-// resolveShardRequest maps Config.AsyncShards (0 = one shard, < 0 =
-// topology-derived) onto the jobs runtime's convention (<= 0 =
-// topology-derived).
-func resolveShardRequest(asyncShards int) int {
-	switch {
-	case asyncShards == 0:
-		return 1
-	case asyncShards < 0:
-		return 0
-	}
-	return asyncShards
-}
-
 // AsyncStats returns a snapshot of the async runtime's shards and merged
 // totals. The zero value is returned before the first async submission and
 // after Close: a read-only observer never instantiates the runtime.
@@ -347,7 +216,7 @@ func (p *Pool) Scheduler() sched.Scheduler { return p.s }
 
 // String implements fmt.Stringer.
 func (p *Pool) String() string {
-	return fmt.Sprintf("loopsched.Pool{workers=%d, %s, %s}", p.s.P(), p.s.Config().Barrier, p.s.Config().Mode)
+	return fmt.Sprintf("loopsched.Pool{workers=%d, tree, half-barrier}", p.s.P())
 }
 
 // For executes body over contiguous chunks of [0, n), one chunk per worker
@@ -481,26 +350,15 @@ var (
 	// the handle's job was already recycled. It marks a use-after-release
 	// bug in the caller, not a scheduler failure.
 	ErrReleased = jobs.ErrReleased
-	// ErrInfeasible is returned at submission (wrapped in an overload error
-	// carrying a retry hint — see SuggestedRetry) when ShedInfeasible is set
-	// and the job's deadline could not be met even if the queue drained at
-	// the measured service rate.
-	ErrInfeasible = jobs.ErrInfeasible
 	// ErrBacklogged is returned at submission when the admission queue is
-	// full and either JobOptions.NoWait was set or Config.MaxWait elapsed
-	// before a slot freed. Carries a retry hint — see SuggestedRetry.
+	// full and JobOptions.NoWait was set. Carries a retry hint — see
+	// SuggestedRetry.
 	ErrBacklogged = jobs.ErrBacklogged
-	// ErrBreakerOpen is returned at submission when the job's tenant has an
-	// open circuit breaker (Config.BreakerBurnRate): the tenant is burning
-	// its SLO while crowding the queue, and is shed until a cooldown and a
-	// successful probe. Carries a retry hint — see SuggestedRetry.
-	ErrBreakerOpen = jobs.ErrBreakerOpen
 )
 
-// SuggestedRetry extracts the retry-after hint from an overload rejection
-// (ErrInfeasible, ErrBacklogged or ErrBreakerOpen): the delay after which
-// the submission is next expected to be admittable. ok is false when err
-// carries no hint.
+// SuggestedRetry extracts the retry-after hint from an ErrBacklogged
+// rejection: the delay after which the submission is next expected to be
+// admittable. ok is false when err carries no hint.
 func SuggestedRetry(err error) (d time.Duration, ok bool) {
 	return jobs.SuggestedRetry(err)
 }
@@ -636,13 +494,16 @@ func (p *Pool) handle(inner *jobs.Job, err error) *Job {
 // sites can chain Submit(...).Wait() without a separate error path.
 func (p *Pool) failedJob(err error) *Job { return p.handle(nil, err) }
 
-// submit routes a request to the async runtime: to the least-loaded shard,
-// or to the pinned shard when the options name one (1-based; 0 routes).
-// after carries the public dependency handles; a dependent of a job that
-// never made it past submission fails immediately with the upstream's error
-// wrapped under ErrCanceled, mirroring runtime cancel propagation.
-func (p *Pool) submit(shard int, after []*Job, req jobs.Request) *Job {
-	for _, u := range after {
+// submit translates the options onto a runtime request whose N and body
+// fields the caller set, and routes it to the async runtime. The options'
+// upstreams become dependency edges; a dependent of a job that never made it
+// past submission fails immediately with the upstream's error wrapped under
+// ErrCanceled, mirroring runtime cancel propagation.
+func (p *Pool) submit(o JobOptions, req jobs.Request) *Job {
+	req.MaxWorkers, req.Grain, req.Commutative = o.MaxWorkers, o.Grain, o.Commutative
+	req.Tenant, req.Priority, req.Deadline = o.Tenant, o.Priority, o.Deadline
+	req.NoWait, req.Label = o.NoWait, o.Label
+	for _, u := range o.After {
 		if u == nil {
 			return p.failedJob(fmt.Errorf("loopsched: nil upstream job in After"))
 		}
@@ -659,92 +520,11 @@ func (p *Pool) submit(shard int, after []*Job, req jobs.Request) *Job {
 	if rt == nil {
 		return p.failedJob(jobs.ErrClosed)
 	}
-	var j *jobs.Job
-	var err error
-	if shard != 0 {
-		// Validate against the public 1-based contract before translating,
-		// so the error names the caller's shard number, not the internal
-		// 0-based index.
-		if shard < 1 || shard > rt.Shards() {
-			return p.failedJob(fmt.Errorf("loopsched: shard %d out of range [1,%d]", shard, rt.Shards()))
-		}
-		j, err = rt.SubmitTo(shard-1, req)
-	} else {
-		j, err = rt.Submit(req)
-	}
+	j, err := rt.Submit(req)
 	if err != nil {
 		return p.failedJob(err)
 	}
 	return p.handle(j, nil)
-}
-
-// BatchRequest describes one job of a SubmitBatch call, in the SubmitFor
-// shape (the body receives the sub-team worker index and chunk bounds —
-// the only shape that needs no per-job closure, keeping batches
-// allocation-free).
-type BatchRequest struct {
-	// N is the job's iteration count (<= 0 completes immediately).
-	N int
-	// Body is the chunked loop body (the SubmitFor contract).
-	Body func(worker, low, high int)
-	// Opts tunes the job. Opts.After and Opts.Shard are not supported in
-	// batches (use Submit for dependency edges and pinning) and fail the
-	// whole batch.
-	Opts JobOptions
-}
-
-// SubmitBatch submits len(reqs) independent jobs in one call, filling out[i]
-// with the handle for reqs[i]: the whole batch is routed to one shard and
-// admitted under a single fair-queue lock acquisition, so the per-job
-// submission cost is amortized N-fold. out is the caller's storage and must
-// hold at least len(reqs) entries. An invalid request fails the whole batch
-// before anything is submitted; ErrClosed can split a batch only when Close
-// overlaps the call, in which case out[i] is non-nil for exactly the jobs
-// that were admitted. Safe from any number of goroutines (concurrent batches
-// serialize on the translation scratch).
-func (p *Pool) SubmitBatch(reqs []BatchRequest, out []*Job) error {
-	if len(out) < len(reqs) {
-		return fmt.Errorf("loopsched: SubmitBatch needs len(out) >= len(reqs)")
-	}
-	if len(reqs) == 0 {
-		return nil
-	}
-	for i := range reqs {
-		if len(reqs[i].Opts.After) > 0 {
-			return fmt.Errorf("loopsched: SubmitBatch request %d carries After; use Submit for dependencies", i)
-		}
-		if reqs[i].Opts.Shard != 0 {
-			return fmt.Errorf("loopsched: SubmitBatch request %d pins a shard; use SubmitForOpts to pin", i)
-		}
-	}
-	rt := p.jobs()
-	if rt == nil {
-		return ErrClosed
-	}
-	p.batchMu.Lock()
-	defer p.batchMu.Unlock()
-	p.batchReqs = p.batchReqs[:0]
-	p.batchJobs = p.batchJobs[:0]
-	for i := range reqs {
-		r := &reqs[i]
-		o := &r.Opts
-		p.batchReqs = append(p.batchReqs, jobs.Request{
-			N: r.N, Body: r.Body, MaxWorkers: o.MaxWorkers, Grain: o.Grain,
-			Tenant: o.Tenant, Priority: o.Priority, Deadline: o.Deadline, Label: o.Label,
-		})
-		p.batchJobs = append(p.batchJobs, nil)
-	}
-	err := rt.SubmitBatch(p.batchReqs, p.batchJobs)
-	for i, inner := range p.batchJobs {
-		if inner != nil {
-			out[i] = p.handle(inner, nil)
-		}
-		p.batchJobs[i] = nil
-	}
-	// Drop the body references so a retained scratch never pins caller
-	// closures past the call.
-	clear(p.batchReqs)
-	return err
 }
 
 // JobOptions tunes one asynchronously submitted job. The zero value selects
@@ -755,8 +535,8 @@ type JobOptions struct {
 	MaxWorkers int
 	// Grain is the self-scheduling chunk size in iterations — the smallest
 	// unit of work worth one atomic claim, and the minimum share a
-	// sub-worker is admitted for. <= 0 selects the pool's AsyncGrain, or a
-	// heuristic.
+	// sub-worker is admitted for. <= 0 selects a per-job heuristic (roughly
+	// 8 chunks per sub-team member).
 	Grain int
 	// Commutative declares a reducing job's combine commutative (and its
 	// identity a true identity), letting the runtime execute it elastically:
@@ -764,13 +544,6 @@ type JobOptions struct {
 	// order. Leave it false for ordered (non-commutative) reductions, which
 	// keep the rigid static-block path and worker-order folding.
 	Commutative bool
-	// Shard pins the job to one shard of a sharded async runtime, 1-based
-	// (shard n of AsyncShards); 0 routes to the least-loaded shard. Pinning
-	// controls admission locality: unless stealing is disabled, an idle
-	// sibling shard may still steal the job or lend workers to it. Out of
-	// range values fail the job with an error from Wait. A pinned job with
-	// dependencies is released back onto its pinned shard.
-	Shard int
 	// Tenant names the account the job is charged to; the empty string
 	// selects the shared "default" account. Register weights with
 	// Pool.Tenant to serve tenants in proportion under saturation;
@@ -789,17 +562,16 @@ type JobOptions struct {
 	// deadline-missed counters.
 	Deadline time.Time
 	// After lists jobs that must complete before this one starts. The job is
-	// held in a blocked state — outside the admission queue, invisible to
-	// fair-share sizing and to cross-shard stealing — until the last
-	// upstream's join wave releases it; on a sharded runtime the released
-	// job is admitted to the least-loaded shard at release time. Canceling
+	// held in a blocked state — outside the admission queue and invisible to
+	// fair-share sizing — until the last upstream's join wave releases it.
+	// Canceling
 	// an upstream cancels this job too: Wait returns an error matching
 	// ErrCanceled that wraps the upstream's. See also Job.Then,
 	// Job.ThenReduce and Pool.SubmitPipeline.
 	After []*Job
 	// NoWait makes the submission fail fast with an error matching
-	// ErrBacklogged (instead of blocking for up to Config.MaxWait, or
-	// indefinitely) when the admission queue is full. The returned Job
+	// ErrBacklogged (instead of blocking until a slot frees) when the
+	// admission queue is full. The returned Job
 	// surfaces the error from Wait; SuggestedRetry extracts the hint.
 	NoWait bool
 	// Label tags the job in the runtime's statistics.
@@ -816,11 +588,11 @@ func (p *Pool) Submit(n int, body func(i int)) *Job {
 
 // SubmitOpts is Submit with per-job tuning options.
 func (p *Pool) SubmitOpts(n int, o JobOptions, body func(i int)) *Job {
-	return p.submit(o.Shard, o.After, jobs.Request{N: n, Body: func(w, low, high int) {
+	return p.submit(o, jobs.Request{N: n, Body: func(w, low, high int) {
 		for i := low; i < high; i++ {
 			body(i)
 		}
-	}, MaxWorkers: o.MaxWorkers, Grain: o.Grain, Tenant: o.Tenant, Priority: o.Priority, Deadline: o.Deadline, NoWait: o.NoWait, Label: o.Label})
+	}})
 }
 
 // SubmitFor is the asynchronous For: body receives a dense sub-team worker
@@ -830,12 +602,7 @@ func (p *Pool) SubmitOpts(n int, o JobOptions, body func(i int)) *Job {
 // as the elastic runtime rebalances work, and after elastic churn the ids
 // seen over the job's lifetime may exceed its peak concurrent worker count.
 func (p *Pool) SubmitFor(n int, body func(worker, low, high int)) *Job {
-	return p.SubmitForOpts(n, JobOptions{}, body)
-}
-
-// SubmitForOpts is SubmitFor with per-job tuning options.
-func (p *Pool) SubmitForOpts(n int, o JobOptions, body func(worker, low, high int)) *Job {
-	return p.submit(o.Shard, o.After, jobs.Request{N: n, Body: body, MaxWorkers: o.MaxWorkers, Grain: o.Grain, Tenant: o.Tenant, Priority: o.Priority, Deadline: o.Deadline, NoWait: o.NoWait, Label: o.Label})
+	return p.submit(JobOptions{}, jobs.Request{N: n, Body: body})
 }
 
 // SubmitReduce is the asynchronous ReduceFloat64: per-sub-worker partials
@@ -850,11 +617,7 @@ func (p *Pool) SubmitReduce(n int, identity float64, combine func(a, b float64) 
 // self-scheduling, partials folded in arrival order); leave it false when
 // the combine is order-sensitive.
 func (p *Pool) SubmitReduceOpts(n int, o JobOptions, identity float64, combine func(a, b float64) float64, body func(worker, low, high int, acc float64) float64) *Job {
-	return p.submit(o.Shard, o.After, jobs.Request{
-		N: n, RBody: body, Identity: identity, Combine: combine,
-		Commutative: o.Commutative, MaxWorkers: o.MaxWorkers, Grain: o.Grain,
-		Tenant: o.Tenant, Priority: o.Priority, Deadline: o.Deadline, NoWait: o.NoWait, Label: o.Label,
-	})
+	return p.submit(o, jobs.Request{N: n, RBody: body, Identity: identity, Combine: combine})
 }
 
 // Then submits a dependent job: body runs over [0, n) only after j's join
@@ -864,33 +627,20 @@ func (p *Pool) SubmitReduceOpts(n int, o JobOptions, identity float64, combine f
 //	last := pool.Submit(n, produce).Then(n, transform).Then(n, consume)
 //	err := last.Wait()
 func (j *Job) Then(n int, body func(i int)) *Job {
-	return j.ThenOpts(n, JobOptions{}, body)
-}
-
-// ThenOpts is Then with per-job tuning options; j is prepended to o.After.
-func (j *Job) ThenOpts(n int, o JobOptions, body func(i int)) *Job {
 	if j.pool == nil {
 		return &Job{err: fmt.Errorf("loopsched: Then on a zero Job")}
 	}
-	o.After = append([]*Job{j}, o.After...)
-	return j.pool.SubmitOpts(n, o, body)
+	return j.pool.SubmitOpts(n, JobOptions{After: []*Job{j}}, body)
 }
 
 // ThenReduce submits a dependent reducing job (see SubmitReduce) that starts
 // only after j completes and returns its handle; read the reduction from
 // Result.
 func (j *Job) ThenReduce(n int, identity float64, combine func(a, b float64) float64, body func(worker, low, high int, acc float64) float64) *Job {
-	return j.ThenReduceOpts(n, JobOptions{}, identity, combine, body)
-}
-
-// ThenReduceOpts is ThenReduce with per-job tuning options; j is prepended
-// to o.After.
-func (j *Job) ThenReduceOpts(n int, o JobOptions, identity float64, combine func(a, b float64) float64, body func(worker, low, high int, acc float64) float64) *Job {
 	if j.pool == nil {
 		return &Job{err: fmt.Errorf("loopsched: ThenReduce on a zero Job")}
 	}
-	o.After = append([]*Job{j}, o.After...)
-	return j.pool.SubmitReduceOpts(n, o, identity, combine, body)
+	return j.pool.SubmitReduceOpts(n, JobOptions{After: []*Job{j}}, identity, combine, body)
 }
 
 // Stage describes one stage of a pipeline submitted with SubmitPipeline.
@@ -951,7 +701,7 @@ func (p *Pool) SubmitPipeline(stages ...Stage) []*Job {
 		case st.Body != nil:
 			j = p.SubmitOpts(st.N, o, st.Body)
 		case st.For != nil:
-			j = p.SubmitForOpts(st.N, o, st.For)
+			j = p.submit(o, jobs.Request{N: st.N, Body: st.For})
 		default:
 			r := st.Reduce
 			o.Commutative = o.Commutative || r.Commutative

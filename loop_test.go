@@ -30,10 +30,8 @@ func testPool(t *testing.T, cfg Config) *Pool {
 func TestForEachCoversAllIndices(t *testing.T) {
 	for _, cfg := range []Config{
 		{},
-		{Barrier: BarrierCentralized},
-		{FullBarrier: true},
 		{Workers: 1},
-		{Workers: 3, GroupSize: 2, InnerFanout: 2, OuterFanout: 2},
+		{Workers: 3},
 	} {
 		pool := testPool(t, cfg)
 		n := 5000
@@ -105,8 +103,9 @@ func TestReduceVec(t *testing.T) {
 
 func TestGenericReduceOrderedAppend(t *testing.T) {
 	// The strongest ordering test: concatenating per-iteration slices must
-	// reproduce 0..n-1 exactly, for every barrier/mode configuration.
-	for _, cfg := range []Config{{}, {Barrier: BarrierCentralized}, {FullBarrier: true}, {Barrier: BarrierCentralized, FullBarrier: true}} {
+	// reproduce 0..n-1 exactly, for every team size. The barrier and mode
+	// variants are core.TestForCombineOrderedAppend.
+	for _, cfg := range []Config{{}, {Workers: 1}, {Workers: 3}} {
 		pool := testPool(t, cfg)
 		n := 2000
 		got := Reduce(pool, n, AppendOp[int](), func(w, lo, hi int, acc []int) []int {
@@ -304,30 +303,6 @@ func TestSubmitReduceOptsCommutative(t *testing.T) {
 		t.Errorf("commutative async sum = %v, want %v", got, want)
 	}
 }
-
-func TestAsyncRigidConfig(t *testing.T) {
-	// AsyncRigid restores the static-block contract: each sub-worker sees
-	// exactly one contiguous share.
-	pool := testPool(t, Config{AsyncRigid: true})
-	var mu sync.Mutex
-	calls := map[int]int{}
-	j := pool.SubmitFor(1000, func(w, lo, hi int) {
-		mu.Lock()
-		calls[w]++
-		mu.Unlock()
-	})
-	if err := j.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	for w, c := range calls {
-		if c != 1 {
-			t.Errorf("rigid sub-worker %d called %d times, want 1", w, c)
-		}
-	}
-}
-
 func TestSubmitIsSafeFromManyGoroutines(t *testing.T) {
 	pool := testPool(t, Config{})
 	var total atomic.Int64
@@ -414,57 +389,6 @@ func TestPropertyGenericReduceMatchesSerial(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestAsyncShardedPool(t *testing.T) {
-	// A sharded async runtime behind the public API: jobs route across
-	// shards, pinned jobs land where asked, results stay exact, and the
-	// merged stats reconcile with the per-shard ones.
-	pool := testPool(t, Config{Workers: 4, AsyncShards: 2})
-	if got := pool.AsyncShards(); got != 2 {
-		t.Fatalf("AsyncShards = %d, want 2", got)
-	}
-	const jobs = 24
-	var wg sync.WaitGroup
-	for g := 0; g < jobs; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			n := 600 + g
-			j := pool.SubmitReduceOpts(n, JobOptions{Commutative: true}, 0,
-				func(a, b float64) float64 { return a + b },
-				func(w, lo, hi int, acc float64) float64 {
-					for i := lo; i < hi; i++ {
-						acc += float64(i)
-					}
-					return acc
-				})
-			v, err := j.Result()
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if want := float64(n) * float64(n-1) / 2; v != want {
-				t.Errorf("job %d: sum = %v, want %v", g, v, want)
-			}
-		}(g)
-	}
-	wg.Wait()
-	st := pool.AsyncStats()
-	if len(st.Shards) != 2 {
-		t.Fatalf("stats cover %d shards, want 2", len(st.Shards))
-	}
-	if st.Total.Completed != jobs {
-		t.Errorf("total completed = %d, want %d", st.Total.Completed, jobs)
-	}
-	var sum int64
-	for _, sh := range st.Shards {
-		sum += sh.Completed
-	}
-	if sum != st.Total.Completed {
-		t.Errorf("per-shard completed sum %d != total %d", sum, st.Total.Completed)
-	}
-}
-
 func TestPoolTenantAccountsThroughPublicAPI(t *testing.T) {
 	// Pool.Tenant registrations made before the async runtime exists must
 	// survive into it, and JobOptions.Tenant/Priority/Deadline must land in
@@ -496,34 +420,10 @@ func TestPoolTenantAccountsThroughPublicAPI(t *testing.T) {
 		t.Errorf("default account = %+v, want the untagged job", def)
 	}
 }
-
-func TestAsyncShardPinning(t *testing.T) {
-	pool := testPool(t, Config{Workers: 4, AsyncShards: 2})
-	// Pin to shard 2 (1-based): the job must be admitted there.
-	j := pool.SubmitOpts(100, JobOptions{Shard: 2}, func(i int) {})
-	if err := j.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if got := pool.AsyncStats().Shards[1].Submitted; got != 1 {
-		t.Errorf("shard 2 submitted = %d, want the pinned job", got)
-	}
-	// An out-of-range pin fails the job without running the body — negative
-	// values included (they must not silently fall back to routing).
-	for _, shard := range []int{99, -1} {
-		bad := pool.SubmitOpts(10, JobOptions{Shard: shard}, func(i int) { t.Error("body ran") })
-		if err := bad.Wait(); err == nil {
-			t.Errorf("shard pin %d accepted", shard)
-		}
-	}
-}
-
 func TestAsyncObserversDoNotCreateRuntime(t *testing.T) {
 	// Stats readers (metrics scrapers) must not instantiate worker teams as
 	// a side effect of observing an idle pool.
-	pool := testPool(t, Config{Workers: 2, AsyncShards: 2})
-	if got := pool.AsyncShards(); got != 2 {
-		t.Errorf("AsyncShards = %d, want 2 (resolved without creating the runtime)", got)
-	}
+	pool := testPool(t, Config{Workers: 2})
 	if st := pool.AsyncStats(); st.Total.Workers != 0 || st.Shards != nil {
 		t.Errorf("AsyncStats on an unused pool = %+v, want the zero value", st)
 	}
@@ -559,7 +459,7 @@ func TestJobThenChain(t *testing.T) {
 }
 
 func TestSubmitPipelineStages(t *testing.T) {
-	pool := testPool(t, Config{Workers: 4, AsyncShards: 2})
+	pool := testPool(t, Config{Workers: 4})
 	const n = 2048
 	data := make([]float64, n)
 	js := pool.SubmitPipeline(
@@ -640,7 +540,7 @@ func TestAfterCancelPropagatesThroughPublicAPI(t *testing.T) {
 }
 
 func TestPoolTraceThroughPublicAPI(t *testing.T) {
-	pool := testPool(t, Config{Workers: 4, Trace: true, TraceCapacity: 64})
+	pool := testPool(t, Config{Workers: 4, Trace: true})
 	tr := pool.Tracer()
 	if tr == nil {
 		t.Fatal("Config.Trace set but Tracer() is nil")
@@ -719,53 +619,6 @@ func TestPoolUntracedHasNoTracer(t *testing.T) {
 		t.Fatal("failed job has a trace")
 	}
 }
-
-func TestSubmitBatch(t *testing.T) {
-	pool := testPool(t, Config{Workers: 2})
-	const batch = 8
-	var sum atomic.Int64
-	reqs := make([]BatchRequest, batch)
-	out := make([]*Job, batch)
-	for i := range reqs {
-		reqs[i] = BatchRequest{N: 100, Body: func(w, lo, hi int) {
-			sum.Add(int64(hi - lo))
-		}}
-	}
-	for round := 0; round < 20; round++ {
-		sum.Store(0)
-		if err := pool.SubmitBatch(reqs, out); err != nil {
-			t.Fatal(err)
-		}
-		for i, j := range out {
-			if err := j.Wait(); err != nil {
-				t.Fatalf("job %d: %v", i, err)
-			}
-			j.Release()
-			out[i] = nil
-		}
-		if got := sum.Load(); got != batch*100 {
-			t.Fatalf("round %d: iterations = %d, want %d", round, got, batch*100)
-		}
-	}
-}
-
-func TestSubmitBatchRejectsAfterAndShard(t *testing.T) {
-	pool := testPool(t, Config{Workers: 2})
-	up := pool.Submit(8, func(i int) {})
-	defer up.Wait()
-	body := func(w, lo, hi int) {}
-	out := make([]*Job, 1)
-	if err := pool.SubmitBatch([]BatchRequest{{N: 8, Body: body, Opts: JobOptions{After: []*Job{up}}}}, out); err == nil {
-		t.Error("After accepted in a batch")
-	}
-	if err := pool.SubmitBatch([]BatchRequest{{N: 8, Body: body, Opts: JobOptions{Shard: 1}}}, out); err == nil {
-		t.Error("Shard pin accepted in a batch")
-	}
-	if err := pool.SubmitBatch([]BatchRequest{{N: 8, Body: body}}, nil); err == nil {
-		t.Error("short out slice accepted")
-	}
-}
-
 func TestJobReleaseRecyclesHandle(t *testing.T) {
 	pool := testPool(t, Config{Workers: 2})
 	j := pool.SubmitFor(64, func(w, lo, hi int) {})
@@ -817,41 +670,6 @@ func TestPublicSubmitAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("SubmitFor/Wait/Release cycle: %v allocs/op, want 0", avg)
-	}
-}
-
-// TestPublicSubmitBatchAllocs pins the batched public path at zero
-// allocations per submitted job in steady state.
-func TestPublicSubmitBatchAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are distorted under -race")
-	}
-	pool := testPool(t, Config{Workers: 2})
-	const batch = 16
-	body := func(w, lo, hi int) {}
-	reqs := make([]BatchRequest, batch)
-	out := make([]*Job, batch)
-	for i := range reqs {
-		reqs[i] = BatchRequest{N: 64, Body: body}
-	}
-	cycle := func() {
-		if err := pool.SubmitBatch(reqs, out); err != nil {
-			t.Fatal(err)
-		}
-		for i, j := range out {
-			if err := j.Wait(); err != nil {
-				t.Fatal(err)
-			}
-			j.Release()
-			out[i] = nil
-		}
-	}
-	for i := 0; i < 16; i++ {
-		cycle()
-	}
-	avg := testing.AllocsPerRun(100, cycle)
-	if got := avg / batch; got != 0 {
-		t.Errorf("SubmitBatch cycle: %v allocs per submitted job, want 0", got)
 	}
 }
 
