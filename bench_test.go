@@ -96,8 +96,9 @@ func BenchmarkTable1_Burden(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure2_MPDATA measures one MPDATA time step (4 fine-grain
-// parallel loops) on the paper's 5568-point / 16399-edge grid.
+// BenchmarkFigure2_MPDATA measures one MPDATA time step (5 fine-grain
+// parallel loops with one corrective pass) on the paper's 5568-point /
+// 16399-edge grid.
 func BenchmarkFigure2_MPDATA(b *testing.B) {
 	g, err := grid.NewPaperGrid()
 	if err != nil {

@@ -188,7 +188,8 @@ func VerifyMPDATA(name string, steps int) (maxDiff, massErr float64, err error) 
 
 // LoopDuration estimates the average duration of a single parallel loop in
 // the MPDATA step under the given scheduler — the quantity that makes MPDATA
-// a fine-grain workload (a few microseconds per loop on the paper's grid).
+// a fine-grain workload (tens of microseconds per loop on the paper's grid
+// with two workers, less with each added worker).
 func LoopDuration(name string, steps int) (time.Duration, error) {
 	g, err := grid.NewPaperGrid()
 	if err != nil {

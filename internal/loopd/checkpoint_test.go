@@ -209,8 +209,8 @@ func TestJobControlErrorPaths(t *testing.T) {
 	}
 	tsPlain := httptest.NewServer(plain)
 	defer func() {
-		tsPlain.Close()
 		plain.Close()
+		tsPlain.Close()
 	}()
 	resp, err := http.Post(tsPlain.URL+"/jobs/1/suspend", "", nil)
 	if err != nil {
@@ -291,14 +291,14 @@ func TestCheckpointRecoveryAcrossRestart(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	ts2.Close()
 	srv2.Close()
+	ts2.Close()
 
 	// Completion deleted the checkpoint: a third boot recovers nothing.
 	srv3, ts3 := boot()
 	defer func() {
-		ts3.Close()
 		srv3.Close()
+		ts3.Close()
 	}()
 	resp, err = http.Get(ts3.URL + "/stats")
 	if err != nil {

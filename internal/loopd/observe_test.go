@@ -29,9 +29,11 @@ func newTracedServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv)
+	// Close the runtime first: it cancels parked jobs, so a /run still in
+	// flight after a failed test answers and the listener can drain.
 	t.Cleanup(func() {
-		ts.Close()
 		srv.Close()
+		ts.Close()
 	})
 	return srv, ts
 }
@@ -487,8 +489,8 @@ func TestDebugPprofGatedByFlag(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv)
 	defer func() {
-		ts.Close()
 		srv.Close()
+		ts.Close()
 	}()
 	resp, err := http.Get(ts.URL + "/debug/pprof/")
 	if err != nil {

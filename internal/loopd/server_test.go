@@ -33,9 +33,11 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv)
+	// Close the runtime first: it cancels parked jobs, so a /run still in
+	// flight after a failed test answers and the listener can drain.
 	t.Cleanup(func() {
-		ts.Close()
 		srv.Close()
+		ts.Close()
 	})
 	return srv, ts
 }
@@ -270,8 +272,8 @@ func TestShardedConcurrentRunsAndMetricsReconcile(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv)
 	defer func() {
-		ts.Close()
 		srv.Close()
+		ts.Close()
 	}()
 	const tenants = 10
 	var wg sync.WaitGroup
@@ -401,8 +403,8 @@ func TestRunShardPinParameterValidation(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv)
 	defer func() {
-		ts.Close()
 		srv.Close()
+		ts.Close()
 	}()
 	resp, err := http.Post(ts.URL+"/run?workload=sum&n=100&shard=7", "", nil)
 	if err != nil {
@@ -542,8 +544,8 @@ func TestTenantParamsRoundTripAndMetricsReconcile(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv)
 	defer func() {
-		ts.Close()
 		srv.Close()
+		ts.Close()
 	}()
 	post := func(url string) {
 		t.Helper()
@@ -810,8 +812,8 @@ func TestSLOTargetGaugeAlwaysPresent(t *testing.T) {
 		}
 		body, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		ts.Close()
 		srv.Close()
+		ts.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -832,8 +834,8 @@ func TestNoWaitBackpressure(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv)
 	defer func() {
-		ts.Close()
 		srv.Close()
+		ts.Close()
 	}()
 	release := make(chan struct{})
 	block := func(w, lo, hi int) {

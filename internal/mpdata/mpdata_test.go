@@ -35,11 +35,149 @@ func TestNewValidation(t *testing.T) {
 	if s.Dt() <= 0 {
 		t.Errorf("auto time step %v", s.Dt())
 	}
-	if s.LoopsPerStep() != 4 { // 1 upwind + 1 corrective, 2 loops each
-		t.Errorf("LoopsPerStep = %d, want 4", s.LoopsPerStep())
-	}
 	if s.Grid() != g {
 		t.Errorf("Grid() does not return the construction grid")
+	}
+}
+
+// countingSched counts the For calls issued through it.
+type countingSched struct {
+	sched.Scheduler
+	fors int
+}
+
+func (c *countingSched) For(n int, body sched.Body) {
+	c.fors++
+	c.Scheduler.For(n, body)
+}
+
+func TestLoopsPerStepCountsForCalls(t *testing.T) {
+	g := smallGrid(t)
+	for corrective := 1; corrective <= 3; corrective++ {
+		s, err := New(g, Config{Corrective: corrective})
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := &countingSched{Scheduler: sched.NewSequential()}
+		s.Step(run)
+		if got := s.LoopsPerStep(); got != run.fors {
+			t.Errorf("Corrective %d: LoopsPerStep = %d, Step issued %d For calls", corrective, got, run.fors)
+		}
+	}
+}
+
+// referenceStep advances s by one time step sequentially, with the plain
+// branching loop bodies: the upwind flux branches on the velocity sign, the
+// point loop on which end of the edge the point is, and the antidiffusive
+// factor |C|-C² is computed per edge from vn. The solver's kernels must match
+// it bit for bit.
+func referenceStep(s *Solver) {
+	g, dt, eps := s.g, s.cfg.Dt, s.cfg.Epsilon
+	pass := func(v, from, to []float64) {
+		for e := 0; e < g.NumEdges(); e++ {
+			vn := v[e]
+			a, b := g.EdgeFrom[e], g.EdgeTo[e]
+			if vn >= 0 {
+				s.flux[e] = vn * from[a]
+			} else {
+				s.flux[e] = vn * from[b]
+			}
+		}
+		for p := 0; p < g.NumPoints; p++ {
+			div := 0.0
+			for _, ei := range g.IncidentEdges[g.IncidentStart[p]:g.IncidentStart[p+1]] {
+				f := s.flux[ei]
+				if int(g.EdgeFrom[ei]) == p {
+					div += f
+				} else {
+					div -= f
+				}
+			}
+			to[p] = from[p] - dt*div/g.Area[p]
+		}
+	}
+	pass(s.vn, s.Psi, s.next)
+	s.Psi, s.next = s.next, s.Psi
+	for i := 0; i < s.cfg.Corrective; i++ {
+		psi := s.Psi
+		for e := 0; e < g.NumEdges(); e++ {
+			a, b := g.EdgeFrom[e], g.EdgeTo[e]
+			num := psi[b] - psi[a]
+			den := psi[b] + psi[a] + eps
+			c := s.vn[e] * dt
+			s.vnCorr[e] = (math.Abs(c) - c*c) * (num / den) / dt
+		}
+		pass(s.vnCorr, s.Psi, s.next)
+		s.Psi, s.next = s.next, s.Psi
+	}
+	s.steps++
+}
+
+// signedZeroVelocities gives every 11th edge a -0 velocity with a negative
+// field value at its from end and every 13th a +0 velocity, so the donor
+// pick sees zero velocities of both signs whose two candidate fluxes are
+// zeros of opposite sign.
+func signedZeroVelocities(s *Solver) {
+	for e := range s.vn {
+		switch {
+		case e%11 == 0:
+			s.vn[e] = math.Copysign(0, -1)
+			s.Psi[s.g.EdgeFrom[e]] = -0.01
+		case e%13 == 0:
+			s.vn[e] = 0
+		}
+	}
+	s.initTables()
+}
+
+func TestKernelsMatchReferenceBitwise(t *testing.T) {
+	const steps = 200
+	type refCase struct {
+		name    string
+		g       *grid.Grid
+		prepare func(*Solver)
+	}
+	small := smallGrid(t)
+	cases := []refCase{
+		{"small grid", small, nil},
+		{"small grid with signed zero velocities", small, signedZeroVelocities},
+	}
+	if !testing.Short() {
+		g, err := grid.NewPaperGrid()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, refCase{"paper grid", g, nil})
+	}
+	for _, tc := range cases {
+		for _, corrective := range []int{1, 3} {
+			base, err := New(tc.g, Config{Corrective: corrective})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.prepare != nil {
+				tc.prepare(base)
+			}
+			ref := base.Clone()
+			for i := 0; i < steps; i++ {
+				referenceStep(ref)
+			}
+			for _, rt := range []sched.Scheduler{
+				sched.NewSequential(),
+				core.New(core.Config{Workers: 2, LockOSThread: false}),
+			} {
+				s := base.Clone()
+				s.Run(rt, steps)
+				rt.Close()
+				for p := range s.Psi {
+					if math.Float64bits(s.Psi[p]) != math.Float64bits(ref.Psi[p]) {
+						t.Errorf("%s, Corrective %d, %s: after %d steps point %d is %v, reference %v",
+							tc.name, corrective, rt.Name(), steps, p, s.Psi[p], ref.Psi[p])
+						break
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -127,18 +265,14 @@ func TestParallelMatchesSequential(t *testing.T) {
 	for _, rt := range runtimes {
 		solver := base.Clone()
 		solver.Run(rt, 25)
-		maxDiff := 0.0
-		for i := range solver.Psi {
-			d := math.Abs(solver.Psi[i] - seqSolver.Psi[i])
-			if d > maxDiff {
-				maxDiff = d
-			}
-		}
 		// The loops are deterministic given the partitioning; only the mass
 		// reduction order could differ. Field updates are per-point
-		// assignments, so results should agree to round-off exactly.
-		if maxDiff > 1e-12 {
-			t.Errorf("%s: field differs from sequential by %v", rt.Name(), maxDiff)
+		// assignments, so results must agree bit for bit.
+		for i := range solver.Psi {
+			if math.Float64bits(solver.Psi[i]) != math.Float64bits(seqSolver.Psi[i]) {
+				t.Errorf("%s: point %d is %v, sequential gives %v", rt.Name(), i, solver.Psi[i], seqSolver.Psi[i])
+				break
+			}
 		}
 		mass := solver.Mass(rt)
 		seqMass := seqSolver.Mass(seq)
