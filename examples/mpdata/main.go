@@ -40,7 +40,7 @@ func main() {
 
 	fmt.Printf("MPDATA on %d points / %d edges, dt = %.4f, %d workers\n",
 		g.NumPoints, g.NumEdges(), solver.Dt(), pool.Workers())
-	fmt.Printf("each time step issues %d parallel loops of a few microseconds each\n\n", solver.LoopsPerStep())
+	fmt.Printf("each time step issues %d parallel loops\n\n", solver.LoopsPerStep())
 
 	mass0 := solver.Mass(run)
 	start := time.Now()

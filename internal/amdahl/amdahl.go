@@ -119,7 +119,7 @@ func FitBurden(points []Point, p int) (Fit, error) {
 	// asymptotic parallelism.
 	di := dc
 	effP := float64(p)
-	if a, b, _, err := linearFit(xs, ys); err == nil && b > 0 {
+	if a, b, err := linearFit(xs, ys); err == nil && b > 0 {
 		effP = 1 / b
 		if a >= 0 {
 			di = a
@@ -155,11 +155,11 @@ func FitBurden(points []Point, p int) (Fit, error) {
 	return fit, nil
 }
 
-// linearFit duplicates stats.LinearFit to keep this package dependency-free
-// (it is imported by packages that stats itself uses in tests).
-func linearFit(x, y []float64) (a, b, r2 float64, err error) {
+// linearFit fits y ≈ a + b·x by ordinary least squares. The package keeps
+// its own fit so that it imports nothing beyond the standard library.
+func linearFit(x, y []float64) (a, b float64, err error) {
 	if len(x) != len(y) || len(x) < 2 {
-		return 0, 0, 0, errors.New("amdahl: bad sample")
+		return 0, 0, errors.New("amdahl: bad sample")
 	}
 	n := float64(len(x))
 	var sx, sy, sxx, sxy float64
@@ -171,9 +171,9 @@ func linearFit(x, y []float64) (a, b, r2 float64, err error) {
 	}
 	den := n*sxx - sx*sx
 	if den == 0 {
-		return 0, 0, 0, errors.New("amdahl: degenerate x")
+		return 0, 0, errors.New("amdahl: degenerate x")
 	}
 	b = (n*sxy - sx*sy) / den
 	a = (sy - b*sx) / n
-	return a, b, 0, nil
+	return a, b, nil
 }

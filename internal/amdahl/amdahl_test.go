@@ -173,3 +173,49 @@ func TestPropertyRecoverRandomBurden(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestLinearFitExact(t *testing.T) {
+	x := []float64{0, 1, 2, 3, 4}
+	y := make([]float64, len(x))
+	for i := range x {
+		y[i] = 2.5 + 1.5*x[i]
+	}
+	a, b, err := linearFit(x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(a-2.5) > 1e-9 || math.Abs(b-1.5) > 1e-9 {
+		t.Errorf("fit = %v %v", a, b)
+	}
+}
+
+func TestLinearFitErrors(t *testing.T) {
+	if _, _, err := linearFit([]float64{1}, []float64{1}); err == nil {
+		t.Errorf("accepted a single point")
+	}
+	if _, _, err := linearFit([]float64{1, 2}, []float64{1}); err == nil {
+		t.Errorf("accepted mismatched lengths")
+	}
+	if _, _, err := linearFit([]float64{2, 2, 2}, []float64{1, 2, 3}); err == nil {
+		t.Errorf("accepted degenerate x")
+	}
+}
+
+func TestPropertyLinearFitRecoversLine(t *testing.T) {
+	f := func(aRaw, bRaw int8, nRaw uint8) bool {
+		n := int(nRaw%20) + 3
+		a := float64(aRaw) / 4
+		b := float64(bRaw) / 8
+		x := make([]float64, n)
+		y := make([]float64, n)
+		for i := range x {
+			x[i] = float64(i)
+			y[i] = a + b*x[i]
+		}
+		ga, gb, err := linearFit(x, y)
+		return err == nil && math.Abs(ga-a) < 1e-6 && math.Abs(gb-b) < 1e-6
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"sync"
 	"text/tabwriter"
 	"time"
@@ -141,10 +140,8 @@ func RunBurst(opt BurstOptions) (BurstResult, error) {
 		return res, err
 	}
 	res.BigSeconds = time.Since(bigStart).Seconds()
-	sort.Float64s(lats)
-	q := stats.Quantiles(lats, 0.5, 0.95)
-	res.BurstP50, res.BurstP95 = q[0], q[1]
-	res.BurstMax = lats[len(lats)-1]
+	q := stats.Quantiles(lats, 0.5, 0.95, 1)
+	res.BurstP50, res.BurstP95, res.BurstMax = q[0], q[1], q[2]
 	st := s.Stats()
 	res.Grown, res.Peeled = st.Grown, st.Peeled
 	return res, nil

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"text/tabwriter"
@@ -523,28 +522,13 @@ func RunOverload(opt OverloadOptions) (OverloadReport, error) {
 		rep.Breaker.GoodJobsMixed += mixed.Completed
 		rep.Breaker.AbusiveShed += ps.abusiveShed.Load()
 	}
-	rep.Breaker.IsolatedP99Seconds = median(isoP99s)
-	rep.Breaker.MixedP99Seconds = median(mixedP99s)
+	rep.Breaker.IsolatedP99Seconds = stats.Median(isoP99s)
+	rep.Breaker.MixedP99Seconds = stats.Median(mixedP99s)
 	rep.Breaker.BreakerOpened = rep.Breaker.AbusiveShed > 0
 	if rep.Breaker.MixedP99Seconds > 0 {
 		rep.Breaker.GoodP99Ratio = rep.Breaker.IsolatedP99Seconds / rep.Breaker.MixedP99Seconds
 	}
 	return rep, nil
-}
-
-// median returns the middle value of xs (the mean of the middle two for an
-// even count); 0 for an empty slice.
-func median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if n := len(s); n%2 == 1 {
-		return s[n/2]
-	} else {
-		return (s[n/2-1] + s[n/2]) / 2
-	}
 }
 
 // WriteOverload renders the report as a table.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"sync"
 	"text/tabwriter"
 	"time"
@@ -190,7 +189,6 @@ func RunShardBurst(opt ShardBurstOptions) (ShardBurstResult, error) {
 	for _, l := range lats {
 		all = append(all, l...)
 	}
-	sort.Float64s(all)
 	q := stats.Quantiles(all, 0.5, 0.95, 0.99)
 	res.P50, res.P95, res.P99 = q[0], q[1], q[2]
 	if res.WallSeconds > 0 {

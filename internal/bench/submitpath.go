@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"text/tabwriter"
 	"time"
 
@@ -155,7 +154,6 @@ func RunSubmitPath(opt SubmitPathOptions) (SubmitPathResult, error) {
 	res.WallSeconds = time.Since(start).Seconds()
 	res.NsPerSubmit = float64(submitTotal.Nanoseconds()) / float64(opt.Jobs)
 	res.AllocsPerSubmit = float64(ms1.Mallocs-ms0.Mallocs) / float64(opt.Jobs)
-	sort.Float64s(dispatch)
 	q := stats.Quantiles(dispatch, 0.5, 0.95, 0.99)
 	res.DispatchP50Ns, res.DispatchP95Ns, res.DispatchP99Ns = q[0], q[1], q[2]
 

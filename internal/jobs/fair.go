@@ -113,11 +113,9 @@ type TenantStats struct {
 	// Nil until the tenant's first completion.
 	SLO *TenantSLO `json:"slo,omitempty"`
 
-	// Raw SLO windows backing SLO, carried unexported so a Sharded pool can
-	// merge the per-shard windows into pool-wide quantiles at the same
-	// instant (same pattern as the scheduler's latency windows).
-	sloWait, sloRun    []float64
-	sloHits, sloMisses int
+	// win is the window SLO was built from, kept so a Sharded pool builds
+	// the pool-wide SLO from the sum of the shards' windows.
+	win ledgerSnap
 }
 
 // tenant is one per-tenant account: the fair-queue state guarded by the
@@ -135,19 +133,11 @@ type tenant struct {
 	// worker goroutines (sharded.go) while submitters bump the metering
 	// counters below, so it gets its own cache line to keep a steal wave from
 	// ping-ponging the line the submit path writes.
-	depth          barrier.PaddedInt64
-	submitted      atomic.Int64
-	completed      atomic.Int64
-	iters          atomic.Int64
-	preempted      atomic.Int64
-	deadlineMissed atomic.Int64
-	deadlineJobs   atomic.Int64
-	waitNanos      atomic.Int64
-	runNanos       atomic.Int64
-
-	// slo is the tenant's rolling window of completion samples (see slo.go);
-	// internally locked, touched once per job completion.
-	slo sloRing
+	depth     barrier.PaddedInt64
+	submitted atomic.Int64
+	iters     atomic.Int64
+	preempted atomic.Int64
+	led       window // wait and run histograms, deadline outcomes (slo.go)
 }
 
 // stride is the pass increment per admission: inversely proportional to the
@@ -229,6 +219,7 @@ func (fq *fairQueue) accountLocked(name string) *tenant {
 	t, ok := fq.tenants[name]
 	if !ok {
 		t = &tenant{name: name, weight: 1}
+		t.led.N = sloWindow
 		fq.tenants[name] = t
 		fq.order = append(fq.order, t)
 	}
@@ -518,21 +509,21 @@ func (fq *fairQueue) tenantsSnapshot(target float64) map[string]TenantStats {
 	}
 	out := make(map[string]TenantStats, len(fq.tenants))
 	for name, t := range fq.tenants {
-		ts := TenantStats{
+		life, win := t.led.Load()
+		out[name] = TenantStats{
 			Weight:            t.weight,
 			QueueDepth:        int(t.depth.Load()),
 			Submitted:         t.submitted.Load(),
-			Completed:         t.completed.Load(),
+			Completed:         int64(life.run.Count()),
 			IterationsDone:    t.iters.Load(),
 			Preempted:         t.preempted.Load(),
-			DeadlineMissed:    t.deadlineMissed.Load(),
-			DeadlineJobsTotal: t.deadlineJobs.Load(),
-			WaitSumSeconds:    float64(t.waitNanos.Load()) / float64(time.Second),
-			RunSumSeconds:     float64(t.runNanos.Load()) / float64(time.Second),
+			DeadlineMissed:    life.deadlineMissed,
+			DeadlineJobsTotal: life.deadlineHit + life.deadlineMissed,
+			WaitSumSeconds:    life.lat.Sum().Seconds(),
+			RunSumSeconds:     life.run.Sum().Seconds(),
+			SLO:               buildTenantSLO(target, win),
+			win:               win,
 		}
-		ts.sloWait, ts.sloRun, ts.sloHits, ts.sloMisses = t.slo.snapshot()
-		ts.SLO = buildTenantSLO(target, ts.sloWait, ts.sloRun, ts.sloHits, ts.sloMisses)
-		out[name] = ts
 	}
 	return out
 }

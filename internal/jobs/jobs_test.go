@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"math"
+	"math/rand"
 	"os"
 	"runtime"
 	"sort"
@@ -12,6 +13,7 @@ import (
 
 	"loopsched/internal/iterspace"
 	"loopsched/internal/spin"
+	"loopsched/internal/stats"
 )
 
 func TestMain(m *testing.M) {
@@ -426,10 +428,15 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 }
 
 func TestStatsLatencyPercentiles(t *testing.T) {
-	s := testScheduler(t, 2, Config{LatencyWindow: 64})
-	for i := 0; i < 20; i++ {
+	s := testScheduler(t, 2, Config{})
+	// Three windows' worth of completions: the latency window then holds
+	// 1024 to 2047 of them and the tenant's SLO window 256 to 511.
+	const n = 3 * latencyWindow
+	for i := 0; i < n; i++ {
 		j, err := s.Submit(Request{N: 64, Body: func(w, lo, hi int) {
-			time.Sleep(100 * time.Microsecond)
+			if i%256 == 0 {
+				time.Sleep(100 * time.Microsecond)
+			}
 		}})
 		if err != nil {
 			t.Fatal(err)
@@ -439,8 +446,11 @@ func TestStatsLatencyPercentiles(t *testing.T) {
 		}
 	}
 	st := s.Stats()
-	if st.LatencySamples != 20 {
-		t.Errorf("samples = %d, want 20", st.LatencySamples)
+	if st.LatencySamples < latencyWindow || st.LatencySamples >= 2*latencyWindow {
+		t.Errorf("samples = %d, want [%d, %d)", st.LatencySamples, latencyWindow, 2*latencyWindow)
+	}
+	if w := st.Tenants["default"].SLO.WindowJobs; w < sloWindow || w >= 2*sloWindow {
+		t.Errorf("SLO window = %d jobs, want [%d, %d)", w, sloWindow, 2*sloWindow)
 	}
 	if st.LatencyP50 <= 0 || st.LatencyP99 < st.LatencyP50 {
 		t.Errorf("implausible percentiles: p50=%v p99=%v", st.LatencyP50, st.LatencyP99)
@@ -448,8 +458,61 @@ func TestStatsLatencyPercentiles(t *testing.T) {
 	if st.RunP50 <= 0 || st.RunP50 > st.LatencyP50 {
 		t.Errorf("run p50 %v should be positive and <= total p50 %v", st.RunP50, st.LatencyP50)
 	}
-	if st.Workers != 2 || st.Submitted != 20 || st.Completed != 20 {
+	if st.Workers != 2 || st.Submitted != n || st.Completed != n || st.Latency.Count() != n {
 		t.Errorf("counters: %+v", st)
+	}
+}
+
+// TestStatsQuantilesWithinRelErr feeds known latencies through a
+// scheduler's and a tenant's windows and checks every quantile /stats
+// reports against the exact quantile of the completions in its window.
+func TestStatsQuantilesWithinRelErr(t *testing.T) {
+	s := testScheduler(t, 1, Config{})
+	acct := s.fq.account("t")
+	rng := rand.New(rand.NewSource(1))
+	var lat, run []float64
+	for i := 0; i < 2*latencyWindow+300; i++ {
+		r := time.Duration(math.Exp(rng.Float64() * math.Log(1e9)))
+		l := r + time.Duration(rng.Int63n(int64(time.Millisecond)))
+		recordLedger(&s.led, l, r, false, false)
+		recordLedger(&acct.led, l-r, r, i%3 == 0, i%9 == 0)
+		lat, run = append(lat, float64(l)), append(run, float64(r))
+	}
+	st := s.Stats()
+	ts := st.Tenants["t"]
+	tail := func(xs []float64, k int) []float64 { return xs[len(xs)-k:] }
+	k, kt := st.LatencySamples, ts.SLO.WindowJobs
+	var wait []float64
+	for i := range lat {
+		wait = append(wait, lat[i]-run[i])
+	}
+	check := func(what string, xs []float64, got ...time.Duration) {
+		for i, want := range stats.Quantiles(xs, 0.5, 0.95, 0.99) {
+			if d := math.Abs(float64(got[i]) - want); d > stats.RelErr*want+1 {
+				t.Errorf("%s quantile %d: %v, exact %v", what, i, got[i], time.Duration(want))
+			}
+		}
+	}
+	check("latency", tail(lat, k), st.LatencyP50, st.LatencyP95, st.LatencyP99)
+	check("run", tail(run, k), st.RunP50, st.RunP95, st.RunP99)
+	secs := func(x float64) time.Duration { return time.Duration(x * 1e9) }
+	slo := ts.SLO
+	check("tenant wait", tail(wait, kt), secs(slo.WaitP50), secs(slo.WaitP95), secs(slo.WaitP99))
+	check("tenant run", tail(run, kt), secs(slo.RunP50), secs(slo.RunP95), secs(slo.RunP99))
+	if k != latencyWindow+300 || kt != sloWindow+(2*latencyWindow+300)%sloWindow {
+		t.Errorf("windows = %d / %d jobs", k, kt)
+	}
+	hits, misses := 0, 0
+	for i := 2*latencyWindow + 300 - kt; i < 2*latencyWindow+300; i++ {
+		switch {
+		case i%9 == 0:
+			misses++
+		case i%3 == 0:
+			hits++
+		}
+	}
+	if slo.DeadlineJobs != hits+misses || slo.DeadlineHits != hits {
+		t.Errorf("SLO deadline jobs/hits = %d/%d, want %d/%d", slo.DeadlineJobs, slo.DeadlineHits, hits+misses, hits)
 	}
 }
 

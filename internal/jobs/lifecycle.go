@@ -375,18 +375,16 @@ func (j *Job) parkSuspended() {
 }
 
 // noteSuspended is the tail of both suspend edges, on the job's home: gauges,
-// the lifecycle event, the durable snapshot, and last the suspended-set
-// entry (Close's sweep target) together with the state, both under
-// suspendMu. A Resume acts only on a published Suspended state, so it always
-// finds the registration to undo and follows the suspended event; Close's
-// sweep either finds the job registered and Suspended, or has already run
-// and leaves the cancellation to this call.
+// the durable snapshot, and last the suspended-set entry (Close's sweep
+// target), the state and then the event, all under suspendMu (Event never
+// blocks). A Resume acts only on a published Suspended state and takes
+// suspendMu before its own event, so the suspended event never runs ahead of
+// the state or behind the resumed one. Close's sweep either finds the job
+// registered and Suspended, or has already run and leaves the cancellation
+// to this call.
 func (s *Scheduler) noteSuspended(j *Job) {
 	s.suspended.Add(1)
 	s.suspendedTotal.Add(1)
-	if j.tr != nil {
-		j.tr.Event(trace.EvSuspended, s.cfg.shard, 0, fmt.Sprintf("cursor=%d", j.resumeFrom))
-	}
 	s.writeCheckpoint(j)
 	s.suspendMu.Lock()
 	closedNow := s.suspendClosed
@@ -394,6 +392,9 @@ func (s *Scheduler) noteSuspended(j *Job) {
 		s.suspendSet[j] = struct{}{}
 	}
 	j.state.Store(int32(Suspended))
+	if j.tr != nil {
+		j.tr.Event(trace.EvSuspended, s.cfg.shard, 0, fmt.Sprintf("cursor=%d", j.resumeFrom))
+	}
 	s.suspendMu.Unlock()
 	if closedNow {
 		j.cancel(Suspended, nil, shutdownCancel)

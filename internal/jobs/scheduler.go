@@ -44,9 +44,6 @@ type Config struct {
 	// the dispatcher never posts preemption targets. It exists for
 	// comparison — the fairshare benchmark measures the policy against it.
 	DisableFair bool
-	// LatencyWindow is the number of recent completions kept for the latency
-	// percentiles in Stats; <= 0 selects 1024.
-	LatencyWindow int
 	// LockOSThread locks the workers to OS threads (benchmark fidelity);
 	// serving daemons and tests usually leave it false so idle workers are
 	// cheap goroutines.
@@ -149,9 +146,6 @@ func (c *Config) normalize() {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 1024
-	}
-	if c.LatencyWindow <= 0 {
-		c.LatencyWindow = 1024
 	}
 	if c.SLOTarget <= 0 || c.SLOTarget >= 1 {
 		c.SLOTarget = 0.99
@@ -271,19 +265,17 @@ type Scheduler struct {
 	suspendSet    map[*Job]struct{}
 	suspendClosed bool
 
-	submitted      atomic.Int64
-	completed      atomic.Int64
-	canceled       atomic.Int64
-	itersDone      atomic.Int64
-	grown          atomic.Int64
-	peeled         atomic.Int64
-	stolen         atomic.Int64
-	lent           atomic.Int64
-	blocked        atomic.Int64
-	released       atomic.Int64
-	depCanceled    atomic.Int64
-	preempted      atomic.Int64
-	deadlineMissed atomic.Int64
+	submitted   atomic.Int64
+	canceled    atomic.Int64
+	itersDone   atomic.Int64
+	grown       atomic.Int64
+	peeled      atomic.Int64
+	stolen      atomic.Int64
+	lent        atomic.Int64
+	blocked     atomic.Int64
+	released    atomic.Int64
+	depCanceled atomic.Int64
+	preempted   atomic.Int64
 	// Admission-control rejections at this scheduler (see admission.go):
 	// infeasible-deadline and bounded-wait sheds. Breaker sheds are counted
 	// on the shared admission state instead — in a Sharded pool they happen
@@ -302,7 +294,7 @@ type Scheduler struct {
 	// deadline-risk horizon of the preemption policy.
 	lastRunNanos atomic.Int64
 
-	lat latRing
+	led window // completion accounting behind Stats' latency fields (slo.go)
 }
 
 // New creates and starts a jobs scheduler.
@@ -336,7 +328,7 @@ func New(cfg Config) *Scheduler {
 			return float64(s.fq.depthOf(tenant)) / float64(total)
 		}
 	}
-	s.lat.init(cfg.LatencyWindow)
+	s.led.N = latencyWindow
 	for w := 0; w < s.p; w++ {
 		s.assign[w] = make(chan assignment, 1)
 		s.idleIDs = append(s.idleIDs, w)
@@ -1382,9 +1374,7 @@ func (s *Scheduler) worker(id int) {
 // completing worker exactly once per job.
 func (s *Scheduler) recordCompletion(j *Job) {
 	now := time.Now()
-	s.completed.Add(1)
 	acct := s.fq.account(j.tenant)
-	acct.completed.Add(1)
 	if j.req.N > 0 {
 		// A recovered job charges only the iterations it actually executed in
 		// this process — the watermark inherited from the checkpoint ran (and
@@ -1402,33 +1392,14 @@ func (s *Scheduler) recordCompletion(j *Job) {
 	if wait < 0 {
 		wait = 0
 	}
-	acct.waitNanos.Add(int64(wait))
 	hadDeadline := !j.deadline.IsZero()
 	missed := hadDeadline && now.After(j.deadline)
-	if missed {
-		s.deadlineMissed.Add(1)
-		acct.deadlineMissed.Add(1)
-	}
-	if hadDeadline {
-		acct.deadlineJobs.Add(1)
-	}
-	acct.runNanos.Add(int64(run))
 	// EWMA of recent run times (new = 3/4 old + 1/4 current) for the
 	// deadline-risk horizon; last-writer-wins staleness is acceptable.
 	s.lastRunNanos.Store(s.lastRunNanos.Load() - s.lastRunNanos.Load()/4 + int64(run)/4)
 	// Total latency excludes suspended time for the same reason wait does.
-	s.lat.add((wait + run).Seconds(), run.Seconds())
-	// SLO window sample: deadline outcome plus the wait/run pair feeding the
-	// per-tenant rolling quantiles (see slo.go).
-	dl := sloNoDeadline
-	if hadDeadline {
-		if missed {
-			dl = sloMiss
-		} else {
-			dl = sloHit
-		}
-	}
-	acct.slo.add(wait.Seconds(), run.Seconds(), dl)
+	recordLedger(&s.led, wait+run, run, hadDeadline, missed)
+	recordLedger(&acct.led, wait, run, hadDeadline, missed)
 	if hadDeadline {
 		// Feed the tenant's circuit breaker (no-op unless armed): the miss
 		// EWMA drives open/half-open/close transitions (see admission.go).
@@ -1578,7 +1549,9 @@ type Stats struct {
 	// tenant are charged to "default"). Nil until the first submission or
 	// weight registration.
 	Tenants map[string]TenantStats `json:"tenants,omitempty"`
-	// Latency quantiles (submission to completion) over the recent window.
+	// Latency quantiles (submission to completion) over the recent window of
+	// the last 1024 to 2047 completions (all of them before the 1024th), each
+	// within stats.RelErr (6.25%) of the exact quantile of that window.
 	LatencyP50 time.Duration `json:"latency_p50_ns"`
 	LatencyP95 time.Duration `json:"latency_p95_ns"`
 	LatencyP99 time.Duration `json:"latency_p99_ns"`
@@ -1589,38 +1562,38 @@ type Stats struct {
 	// LatencySamples is the number of completions in the window.
 	LatencySamples int `json:"latency_samples"`
 	// LatencySumSeconds and RunSumSeconds are cumulative (not windowed)
-	// totals over all completions, matching Completed as the count — the
-	// _sum/_count pair of a Prometheus summary.
+	// totals over all completions: the _sum series of Latency and Run.
 	LatencySumSeconds float64 `json:"latency_sum_seconds"`
 	RunSumSeconds     float64 `json:"run_sum_seconds"`
+	// Latency and Run are the cumulative histograms over all completions
+	// (loopd exports them as Prometheus histograms); win is the window the
+	// quantiles above come from. A Sharded pool adds both up across shards.
+	Latency stats.Snapshot `json:"-"`
+	Run     stats.Snapshot `json:"-"`
+	win     ledgerSnap
+}
+
+// setLatency fills Completed and the latency fields from the cumulative
+// histograms and a window of them.
+func (st *Stats) setLatency(lat, run stats.Snapshot, win ledgerSnap) {
+	st.Latency, st.Run, st.win = lat, run, win
+	st.Completed = int64(lat.Count())
+	st.LatencySamples = int(win.lat.Count())
+	st.LatencySumSeconds, st.RunSumSeconds = lat.Sum().Seconds(), run.Sum().Seconds()
+	st.LatencyP50, st.LatencyP95, st.LatencyP99 = win.lat.Quantile(0.5), win.lat.Quantile(0.95), win.lat.Quantile(0.99)
+	st.RunP50, st.RunP95, st.RunP99 = win.run.Quantile(0.5), win.run.Quantile(0.95), win.run.Quantile(0.99)
 }
 
 // Stats returns a snapshot of queue depth, occupancy and latency
 // percentiles.
 func (s *Scheduler) Stats() Stats {
-	st, _, _ := s.statsWindows()
-	if s.cfg.pool == nil {
-		// Standalone: this scheduler IS the pool, so merge the admission
-		// layer's per-tenant shed counters and breaker states here. Shards
-		// of a Sharded pool leave it to the pool-wide snapshot — the state
-		// is shared and would otherwise be counted once per shard.
-		st.Tenants = s.cfg.admission.fillTenantStats(st.Tenants)
-		st.ShedTotal += s.cfg.admission.breakerShed.Load()
-	}
-	return st
-}
-
-// statsWindows builds the snapshot and also returns the latency windows it
-// was computed from, so Sharded.Stats can merge pool-wide quantiles from the
-// very same instant instead of re-snapshotting the rings.
-func (s *Scheduler) statsWindows() (Stats, []float64, []float64) {
+	life, win := s.led.Load()
 	st := Stats{
 		Workers:            s.p,
 		BusyWorkers:        int(s.busy.Load()),
 		QueueDepth:         int(s.depth.Load()),
 		Running:            int(s.running.Load()),
 		Submitted:          s.submitted.Load(),
-		Completed:          s.completed.Load(),
 		Canceled:           s.canceled.Load(),
 		IterationsDone:     s.itersDone.Load(),
 		Grown:              s.grown.Load(),
@@ -1631,7 +1604,7 @@ func (s *Scheduler) statsWindows() (Stats, []float64, []float64) {
 		Released:           s.released.Load(),
 		DepCanceled:        s.depCanceled.Load(),
 		Preempted:          s.preempted.Load(),
-		DeadlineMissed:     s.deadlineMissed.Load(),
+		DeadlineMissed:     life.deadlineMissed,
 		ShedTotal:          s.infeasible.Load() + s.backlogged.Load(),
 		InfeasibleTotal:    s.infeasible.Load(),
 		BackloggedTotal:    s.backlogged.Load(),
@@ -1642,54 +1615,14 @@ func (s *Scheduler) statsWindows() (Stats, []float64, []float64) {
 		CheckpointFailures: s.ckptFails.Load(),
 		Tenants:            s.fq.tenantsSnapshot(s.cfg.SLOTarget),
 	}
-	tot, run, totSum, runSum := s.lat.snapshot()
-	st.LatencySamples = len(tot)
-	st.LatencySumSeconds, st.RunSumSeconds = totSum, runSum
-	if len(tot) > 0 {
-		q := stats.Quantiles(tot, 0.5, 0.95, 0.99)
-		st.LatencyP50, st.LatencyP95, st.LatencyP99 = secs(q[0]), secs(q[1]), secs(q[2])
-		q = stats.Quantiles(run, 0.5, 0.95, 0.99)
-		st.RunP50, st.RunP95, st.RunP99 = secs(q[0]), secs(q[1]), secs(q[2])
+	st.setLatency(life.lat, life.run, win)
+	if s.cfg.pool == nil {
+		// Standalone: this scheduler IS the pool, so merge the admission
+		// layer's per-tenant shed counters and breaker states here. Shards
+		// of a Sharded pool leave it to the pool-wide snapshot — the state
+		// is shared and would otherwise be counted once per shard.
+		st.Tenants = s.cfg.admission.fillTenantStats(st.Tenants)
+		st.ShedTotal += s.cfg.admission.breakerShed.Load()
 	}
-	return st, tot, run
-}
-
-func secs(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
-
-// latRing is a fixed-size window of recent job latencies plus cumulative
-// sums over every completion (the _sum series of a Prometheus summary).
-type latRing struct {
-	mu     sync.Mutex
-	tot    []float64 // submission -> completion, seconds
-	run    []float64 // admission -> completion, seconds
-	totSum float64
-	runSum float64
-	idx    int
-	n      int
-}
-
-func (r *latRing) init(capacity int) {
-	r.tot = make([]float64, capacity)
-	r.run = make([]float64, capacity)
-}
-
-func (r *latRing) add(tot, run float64) {
-	r.mu.Lock()
-	r.tot[r.idx] = tot
-	r.run[r.idx] = run
-	r.totSum += tot
-	r.runSum += run
-	r.idx = (r.idx + 1) % len(r.tot)
-	if r.n < len(r.tot) {
-		r.n++
-	}
-	r.mu.Unlock()
-}
-
-func (r *latRing) snapshot() (tot, run []float64, totSum, runSum float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	tot = append([]float64(nil), r.tot[:r.n]...)
-	run = append([]float64(nil), r.run[:r.n]...)
-	return tot, run, r.totSum, r.runSum
+	return st
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"loopsched/internal/barrier"
-	"loopsched/internal/stats"
 	"loopsched/internal/topology"
 	"loopsched/internal/trace"
 )
@@ -339,8 +338,8 @@ func (p *Sharded) Close() {
 // ShardedStats is a snapshot of the whole sharded pool: the merged totals
 // plus each shard's own snapshot, in shard order.
 type ShardedStats struct {
-	// Total aggregates all shards: counters are summed; latency quantiles
-	// are computed over the union of the shards' recent windows.
+	// Total aggregates all shards: counters and latency histograms are
+	// summed, and the quantiles come from the sum of the shards' windows.
 	Total Stats `json:"total"`
 	// Shards holds each shard's snapshot (index = shard id = topology group).
 	Shards []Stats `json:"shards"`
@@ -375,16 +374,15 @@ func (p *Sharded) Stats() ShardedStats {
 // responsibility via the seqlock.
 func (p *Sharded) statsSnapshot() ShardedStats {
 	out := ShardedStats{Shards: make([]Stats, len(p.shards))}
-	var tot, run []float64
+	var win ledgerSnap
 	for i, s := range p.shards {
-		st, wt, wr := s.statsWindows()
+		st := s.Stats()
 		out.Shards[i] = st
 		out.Total.Workers += st.Workers
 		out.Total.BusyWorkers += st.BusyWorkers
 		out.Total.QueueDepth += st.QueueDepth
 		out.Total.Running += st.Running
 		out.Total.Submitted += st.Submitted
-		out.Total.Completed += st.Completed
 		out.Total.Canceled += st.Canceled
 		out.Total.IterationsDone += st.IterationsDone
 		out.Total.Grown += st.Grown
@@ -425,28 +423,16 @@ func (p *Sharded) statsSnapshot() ShardedStats {
 			agg.DeadlineJobsTotal += ts.DeadlineJobsTotal
 			agg.WaitSumSeconds += ts.WaitSumSeconds
 			agg.RunSumSeconds += ts.RunSumSeconds
-			// SLO windows concatenate across shards; the pool-wide snapshot is
-			// rebuilt from the union after the walk.
-			agg.sloWait = append(agg.sloWait, ts.sloWait...)
-			agg.sloRun = append(agg.sloRun, ts.sloRun...)
-			agg.sloHits += ts.sloHits
-			agg.sloMisses += ts.sloMisses
+			agg.win = agg.win.add(ts.win)
 			out.Total.Tenants[name] = agg
 		}
-		out.Total.LatencySamples += st.LatencySamples
-		out.Total.LatencySumSeconds += st.LatencySumSeconds
-		out.Total.RunSumSeconds += st.RunSumSeconds
-		tot = append(tot, wt...)
-		run = append(run, wr...)
+		out.Total.Latency = out.Total.Latency.Add(st.Latency)
+		out.Total.Run = out.Total.Run.Add(st.Run)
+		win = win.add(st.win)
 	}
-	if len(tot) > 0 {
-		q := stats.Quantiles(tot, 0.5, 0.95, 0.99)
-		out.Total.LatencyP50, out.Total.LatencyP95, out.Total.LatencyP99 = secs(q[0]), secs(q[1]), secs(q[2])
-		q = stats.Quantiles(run, 0.5, 0.95, 0.99)
-		out.Total.RunP50, out.Total.RunP95, out.Total.RunP99 = secs(q[0]), secs(q[1]), secs(q[2])
-	}
+	out.Total.setLatency(out.Total.Latency, out.Total.Run, win)
 	for name, agg := range out.Total.Tenants {
-		agg.SLO = buildTenantSLO(p.cfg.SLOTarget, agg.sloWait, agg.sloRun, agg.sloHits, agg.sloMisses)
+		agg.SLO = buildTenantSLO(p.cfg.SLOTarget, agg.win)
 		out.Total.Tenants[name] = agg
 	}
 	// The admission layer's ledger merges only into the totals: breaker

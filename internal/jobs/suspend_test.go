@@ -505,3 +505,82 @@ func TestSuspendResumeHammer(t *testing.T) {
 		t.Fatalf("%d stale suspended-set entries for finished jobs", stale)
 	}
 }
+
+// slowStore delays every Put, widening the gap between a suspend's
+// checkpoint write and the rest of the transition.
+type slowStore struct{ *MemStore }
+
+func (st slowStore) Put(cp Checkpoint) error {
+	time.Sleep(time.Millisecond)
+	return st.MemStore.Put(cp)
+}
+
+// TestSuspendedEventFollowsState: a subscriber that receives a job's
+// suspended event must already read Suspended from the job's handle — the
+// event may not run ahead of the state, or a client that re-suspends or
+// resumes on the event is refused.
+func TestSuspendedEventFollowsState(t *testing.T) {
+	tr := trace.NewTracer(64)
+	s := testScheduler(t, 1, Config{Tracer: tr, Checkpoints: slowStore{NewMemStore()}})
+	sub := tr.Subscribe(1<<10, "", 0)
+	defer sub.Close()
+	release := make(chan struct{})
+	releaseHog := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(releaseHog) // before the scheduler's Close, which waits for the hog
+	hog, err := s.Submit(Request{N: 1, Body: func(w, lo, hi int) { <-release }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, hog, Running)
+
+	var handles sync.Map // trace id -> *Job
+	checked := make(chan State)
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				return
+			case ev := <-sub.Events():
+				if j, ok := handles.Load(ev.Job); ok && ev.Type == trace.EvSuspended.String() {
+					select {
+					case checked <- j.(*Job).State():
+					case <-stop:
+						return
+					}
+				}
+			}
+		}
+	}()
+	var jobs []*Job
+	for i := 0; i < 20; i++ {
+		j, err := s.Submit(Request{
+			N:           8,
+			Commutative: true,
+			Combine:     func(a, b float64) float64 { return a + b },
+			RBody:       func(w, lo, hi int, acc float64) float64 { return acc },
+			Checkpoint:  &Checkpoint{Workload: "noop"},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+		handles.Store(j.TraceID(), j)
+		if !j.Suspend() {
+			t.Fatal("Suspend refused a pending job")
+		}
+		if st := <-checked; st != Suspended {
+			t.Fatalf("job %d: state %v when its suspended event arrived, want suspended", i, st)
+		}
+		if !j.Resume() {
+			t.Fatalf("job %d: Resume refused after the suspended event", i)
+		}
+	}
+	releaseHog()
+	for _, j := range append(jobs, hog) {
+		if _, err := j.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

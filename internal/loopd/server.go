@@ -872,29 +872,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter := func(name, help string, v float64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %g\n", name, help, name, name, v)
 	}
-	// summary emits a conforming Prometheus summary: the quantile series
-	// plus the <name>_sum and <name>_count series the exposition format
-	// requires of the summary type. The quantiles are over the recent
-	// window; sum and count are cumulative. labels is either empty or a
-	// `key="value"` list to splice into every series.
-	summary := func(name, labels, help string, p50, p95, p99 time.Duration, sum float64, count int64, withHeader bool) {
-		if withHeader {
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s summary\n", name, help, name)
-		}
-		sep := ""
-		if labels != "" {
-			sep = ","
-		}
-		for _, q := range []struct {
-			q string
-			v time.Duration
-		}{{"0.5", p50}, {"0.95", p95}, {"0.99", p99}} {
-			fmt.Fprintf(w, "%s{%s%squantile=%q} %g\n", name, labels, sep, q.q, q.v.Seconds())
-		}
-		if labels != "" {
-			labels = "{" + labels + "}"
-		}
-		fmt.Fprintf(w, "%s_sum%s %g\n%s_count%s %d\n", name, labels, sum, name, labels, count)
+	histogram := func(name, help string) {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
 	}
 	tot := st.Total
 	gauge("loopd_shards", "number of topology shards in the pool", float64(s.rt.Shards()))
@@ -938,10 +917,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		gauge("loopd_trace_subscribers", "live /events subscriptions", float64(trs.Subscribers))
 		gauge("loopd_trace_finished_traces", "finished job traces held for GET /trace/{job}", float64(trs.FinishedTraces))
 	}
-	summary("loopd_job_latency_seconds", "", "job latency from submission to completion",
-		tot.LatencyP50, tot.LatencyP95, tot.LatencyP99, tot.LatencySumSeconds, tot.Completed, true)
-	summary("loopd_job_run_seconds", "", "job run time from admission to completion",
-		tot.RunP50, tot.RunP95, tot.RunP99, tot.RunSumSeconds, tot.Completed, true)
+	histogram("loopd_job_latency_seconds", "job latency from submission to completion")
+	tot.Latency.WritePrometheus(w, "loopd_job_latency_seconds", "")
+	histogram("loopd_job_run_seconds", "job run time from admission to completion")
+	tot.Run.WritePrometheus(w, "loopd_job_run_seconds", "")
 
 	// Per-tenant series, labelled by tenant account name. The counters
 	// reconcile with the untagged totals: every job is charged to exactly
@@ -1068,15 +1047,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	shardCounter("loopd_shard_jobs_depcanceled_total", "blocked jobs of the shard canceled by upstream propagation", func(s jobs.Stats) float64 { return float64(s.DepCanceled) })
 	shardCounter("loopd_shard_workers_grown_total", "workers that joined running jobs on the shard", func(s jobs.Stats) float64 { return float64(s.Grown) })
 	shardCounter("loopd_shard_workers_peeled_total", "workers that peeled off running jobs on the shard", func(s jobs.Stats) float64 { return float64(s.Peeled) })
-	for i, sh := range st.Shards {
-		summary("loopd_shard_job_latency_seconds", fmt.Sprintf("shard=%q", strconv.Itoa(i)),
-			"per-shard job latency from submission to completion",
-			sh.LatencyP50, sh.LatencyP95, sh.LatencyP99, sh.LatencySumSeconds, sh.Completed, i == 0)
+	histogram("loopd_shard_job_latency_seconds", "per-shard job latency from submission to completion")
+	for i := range st.Shards {
+		st.Shards[i].Latency.WritePrometheus(w, "loopd_shard_job_latency_seconds", fmt.Sprintf("shard=\"%d\"", i))
 	}
-	for i, sh := range st.Shards {
-		summary("loopd_shard_job_run_seconds", fmt.Sprintf("shard=%q", strconv.Itoa(i)),
-			"per-shard job run time from admission to completion",
-			sh.RunP50, sh.RunP95, sh.RunP99, sh.RunSumSeconds, sh.Completed, i == 0)
+	histogram("loopd_shard_job_run_seconds", "per-shard job run time from admission to completion")
+	for i := range st.Shards {
+		st.Shards[i].Run.WritePrometheus(w, "loopd_shard_job_run_seconds", fmt.Sprintf("shard=\"%d\"", i))
 	}
 }
 

@@ -139,7 +139,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE loopd_workers gauge",
 		"loopd_workers 4",
 		"# TYPE loopd_jobs_completed_total counter",
-		"loopd_job_latency_seconds{quantile=\"0.99\"}",
+		"loopd_job_latency_seconds_bucket{le=\"+Inf\"} 3",
 		"loopd_iterations_total 1500",
 	} {
 		if !strings.Contains(text, want) {
@@ -183,10 +183,49 @@ func parseExposition(t *testing.T, text string) (types map[string]string, sample
 	return types, samples
 }
 
-func TestMetricsSummaryConformance(t *testing.T) {
-	// A Prometheus summary must expose <name>{quantile=...}, <name>_sum and
-	// <name>_count series; the daemon previously emitted only the latency
-	// quantiles. Parse the real exposition output and check both summaries.
+// checkHistogram checks one series set of a Prometheus histogram in the
+// exposition text — TYPE histogram, le bounds strictly increasing,
+// cumulative counts never decreasing, +Inf equal to _count — and returns its
+// _count and _sum.
+func checkHistogram(t *testing.T, text, name, labels string) (count, sum float64) {
+	t.Helper()
+	types, samples := parseExposition(t, text)
+	if got := types[name]; got != "histogram" {
+		t.Errorf("%s TYPE = %q, want histogram", name, got)
+	}
+	sep := ""
+	if labels != "" {
+		sep = ","
+	}
+	prefix := name + "_bucket{" + labels + sep + `le="`
+	prevLe, prevCum := math.Inf(-1), 0.0
+	for _, line := range strings.Split(text, "\n") {
+		series, val, _ := strings.Cut(line, " ")
+		if !strings.HasPrefix(series, prefix) {
+			continue
+		}
+		le, err := strconv.ParseFloat(strings.TrimSuffix(strings.TrimPrefix(series, prefix), `"}`), 64)
+		cum, _ := strconv.ParseFloat(val, 64)
+		if err != nil || le <= prevLe || cum < prevCum {
+			t.Errorf("%s: bucket %q after le=%v with count %v", name, line, prevLe, prevCum)
+		}
+		prevLe, prevCum = le, cum
+	}
+	if labels != "" {
+		labels = "{" + labels + "}"
+	}
+	count, okCount := samples[name+"_count"+labels]
+	sum, okSum := samples[name+"_sum"+labels]
+	if !math.IsInf(prevLe, 1) || !okCount || !okSum || prevCum != count {
+		t.Errorf("%s%s: last le %v with %v, _count %v (present %v), _sum present %v", name, labels, prevLe, prevCum, count, okCount, okSum)
+	}
+	return count, sum
+}
+
+func TestMetricsHistogramConformance(t *testing.T) {
+	// Job latency and run time are Prometheus histograms: cumulative
+	// _bucket series ending in +Inf, plus _sum and _count from the same
+	// snapshot, with _count equal to the completed-jobs counter.
 	_, ts := newTestServer(t)
 	const jobs = 4
 	if _, err := http.Post(ts.URL+fmt.Sprintf("/run?workload=sum&n=800&jobs=%d", jobs), "", nil); err != nil {
@@ -203,25 +242,12 @@ func TestMetricsSummaryConformance(t *testing.T) {
 	}
 	types, samples := parseExposition(t, string(body))
 	for _, name := range []string{"loopd_job_latency_seconds", "loopd_job_run_seconds"} {
-		if got := types[name]; got != "summary" {
-			t.Errorf("%s TYPE = %q, want summary", name, got)
+		count, sum := checkHistogram(t, string(body), name, "")
+		if sum <= 0 {
+			t.Errorf("%s_sum = %v, want > 0", name, sum)
 		}
-		for _, q := range []string{"0.5", "0.95", "0.99"} {
-			series := fmt.Sprintf("%s{quantile=%q}", name, q)
-			if _, ok := samples[series]; !ok {
-				t.Errorf("summary %s missing series %s", name, series)
-			}
-		}
-		sum, ok := samples[name+"_sum"]
-		if !ok || sum <= 0 {
-			t.Errorf("summary %s missing positive _sum (got %v, present %v)", name, sum, ok)
-		}
-		count, ok := samples[name+"_count"]
-		if !ok {
-			t.Errorf("summary %s missing _count", name)
-		}
-		if completed := samples["loopd_jobs_completed_total"]; ok && count != completed {
-			t.Errorf("%s_count = %v, want completed total %v", name, count, completed)
+		if completed := samples["loopd_jobs_completed_total"]; count != completed || count != jobs {
+			t.Errorf("%s_count = %v, want completed total %v = %d", name, count, completed, jobs)
 		}
 	}
 	for _, name := range []string{"loopd_workers_grown_total", "loopd_workers_peeled_total"} {
@@ -343,9 +369,6 @@ func TestShardedConcurrentRunsAndMetricsReconcile(t *testing.T) {
 	if got := samples["loopd_shards"]; got != 2 {
 		t.Errorf("loopd_shards = %v, want 2", got)
 	}
-	if types["loopd_shard_job_latency_seconds"] != "summary" {
-		t.Errorf("loopd_shard_job_latency_seconds TYPE = %q, want summary", types["loopd_shard_job_latency_seconds"])
-	}
 	if types["loopd_shard_jobs_stolen_total"] != "counter" {
 		t.Errorf("loopd_shard_jobs_stolen_total TYPE = %q, want counter", types["loopd_shard_jobs_stolen_total"])
 	}
@@ -354,30 +377,17 @@ func TestShardedConcurrentRunsAndMetricsReconcile(t *testing.T) {
 	// the /stats snapshots and the pool-wide totals.
 	var sumCompleted, sumLatency, sumIters float64
 	for i := 0; i < st.Shards; i++ {
-		label := fmt.Sprintf("{shard=\"%d\"}", i)
-		count, ok := samples["loopd_shard_job_latency_seconds_count"+label]
-		if !ok {
-			t.Fatalf("missing loopd_shard_job_latency_seconds_count%s", label)
-		}
-		lsum, ok := samples["loopd_shard_job_latency_seconds_sum"+label]
-		if !ok {
-			t.Fatalf("missing loopd_shard_job_latency_seconds_sum%s", label)
-		}
-		for _, q := range []string{"0.5", "0.95", "0.99"} {
-			series := fmt.Sprintf("loopd_shard_job_latency_seconds{shard=%q,quantile=%q}", strconv.Itoa(i), q)
-			if _, ok := samples[series]; !ok {
-				t.Errorf("missing per-shard quantile series %s", series)
-			}
-		}
+		shard := fmt.Sprintf("shard=\"%d\"", i)
+		count, lsum := checkHistogram(t, string(body), "loopd_shard_job_latency_seconds", shard)
 		if want := float64(st.ShardStats[i].Completed); count != want {
 			t.Errorf("shard %d metrics count %v != /stats completed %v", i, count, want)
 		}
 		sumCompleted += count
 		sumLatency += lsum
-		sumIters += samples["loopd_shard_iterations_total"+label]
+		sumIters += samples["loopd_shard_iterations_total{"+shard+"}"]
 	}
-	if total := samples["loopd_jobs_completed_total"]; sumCompleted != total {
-		t.Errorf("per-shard counts sum to %v, total series says %v", sumCompleted, total)
+	if total := samples["loopd_jobs_completed_total"]; sumCompleted != total || sumCompleted != samples["loopd_job_latency_seconds_count"] {
+		t.Errorf("per-shard counts sum to %v, total series say %v and %v", sumCompleted, total, samples["loopd_job_latency_seconds_count"])
 	}
 	if want := float64(st.Queue.Completed); sumCompleted != want {
 		t.Errorf("per-shard counts sum to %v, /stats total says %v", sumCompleted, want)

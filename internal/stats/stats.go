@@ -1,104 +1,34 @@
-// Package stats provides the small statistical toolkit used by the
-// benchmark harness: summary statistics, robust repetition helpers and
-// simple linear least squares. Everything is float64 and allocation-light.
+// Package stats provides the small statistical toolkit of the runtime and
+// the benchmark harness: exact quantiles of a sample, robust repetition
+// helpers, and the lock-free latency Histogram the jobs runtime records every
+// completion into.
 package stats
 
 import (
-	"errors"
-	"math"
 	"sort"
 	"time"
 )
 
-// Summary holds descriptive statistics of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	Median float64
-	Min    float64
-	Max    float64
-	Stddev float64
-}
-
-// Summarize computes descriptive statistics. An empty sample yields a zero
-// Summary.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(xs), Min: xs[0], Max: xs[0]}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(len(xs))
-	var ss float64
-	for _, x := range xs {
-		d := x - s.Mean
-		ss += d * d
-	}
-	if len(xs) > 1 {
-		s.Stddev = math.Sqrt(ss / float64(len(xs)-1))
-	}
-	s.Median = Median(xs)
-	return s
-}
-
 // Median returns the median of the sample (average of the middle two for
 // even sizes). The input is not modified.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
+func Median(xs []float64) float64 { return Quantiles(xs, 0.5)[0] }
+
+// interpolate returns the q-quantile (q clamped to [0, 1]) of n > 0 ordered
+// values by linear interpolation between order statistics; at(k) returns the
+// k-th smallest, 0-based.
+func interpolate(n uint64, q float64, at func(k uint64) float64) float64 {
+	pos := min(max(q, 0), 1) * float64(n-1)
+	k := uint64(pos)
+	frac := pos - float64(k)
+	if frac == 0 {
+		return at(k)
 	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	mid := len(cp) / 2
-	if len(cp)%2 == 1 {
-		return cp[mid]
-	}
-	return (cp[mid-1] + cp[mid]) / 2
+	return at(k)*(1-frac) + at(k+1)*frac
 }
 
-// Quantile returns the q-quantile of the sample (q clamped to [0, 1]) using
-// linear interpolation between order statistics. The input is not modified.
-// An empty sample yields 0.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	return quantileSorted(cp, q)
-}
-
-// quantileSorted interpolates the q-quantile of an already-sorted non-empty
-// sample.
-func quantileSorted(sorted []float64, q float64) float64 {
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Quantiles returns the given quantiles of the sample in one pass over a
-// single sorted copy; it is the latency-percentile helper used by the jobs
-// subsystem's statistics endpoint.
+// Quantiles returns the given quantiles of the sample (each clamped to
+// [0, 1]) by linear interpolation between order statistics, from one sorted
+// copy; the input is not modified. An empty sample yields zeros.
 func Quantiles(xs []float64, qs ...float64) []float64 {
 	out := make([]float64, len(qs))
 	if len(xs) == 0 {
@@ -107,21 +37,9 @@ func Quantiles(xs []float64, qs ...float64) []float64 {
 	cp := append([]float64(nil), xs...)
 	sort.Float64s(cp)
 	for i, q := range qs {
-		out[i] = quantileSorted(cp, q)
+		out[i] = interpolate(uint64(len(cp)), q, func(k uint64) float64 { return cp[k] })
 	}
 	return out
-}
-
-// Mean returns the arithmetic mean (0 for an empty sample).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
 }
 
 // MinDuration returns the smallest of the supplied durations; benchmark
@@ -138,57 +56,6 @@ func MinDuration(ds []time.Duration) time.Duration {
 		}
 	}
 	return min
-}
-
-// MedianDuration returns the median of the supplied durations.
-func MedianDuration(ds []time.Duration) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	xs := make([]float64, len(ds))
-	for i, d := range ds {
-		xs[i] = float64(d)
-	}
-	return time.Duration(Median(xs))
-}
-
-// LinearFit fits y ≈ a + b·x by ordinary least squares and returns the
-// intercept a, slope b and the coefficient of determination R².
-func LinearFit(x, y []float64) (a, b, r2 float64, err error) {
-	if len(x) != len(y) {
-		return 0, 0, 0, errors.New("stats: mismatched sample lengths")
-	}
-	n := float64(len(x))
-	if len(x) < 2 {
-		return 0, 0, 0, errors.New("stats: need at least two points")
-	}
-	var sx, sy, sxx, sxy float64
-	for i := range x {
-		sx += x[i]
-		sy += y[i]
-		sxx += x[i] * x[i]
-		sxy += x[i] * y[i]
-	}
-	den := n*sxx - sx*sx
-	if den == 0 {
-		return 0, 0, 0, errors.New("stats: degenerate x sample")
-	}
-	b = (n*sxy - sx*sy) / den
-	a = (sy - b*sx) / n
-	// R².
-	my := sy / n
-	var ssTot, ssRes float64
-	for i := range x {
-		fit := a + b*x[i]
-		ssRes += (y[i] - fit) * (y[i] - fit)
-		ssTot += (y[i] - my) * (y[i] - my)
-	}
-	if ssTot > 0 {
-		r2 = 1 - ssRes/ssTot
-	} else {
-		r2 = 1
-	}
-	return a, b, r2, nil
 }
 
 // Timer measures wall-clock durations of repeated runs of a function and
