@@ -20,8 +20,30 @@ func TestMedianEven(t *testing.T) {
 	}
 }
 
+func TestQuantile(t *testing.T) {
+	xs := []float64{4, 1, 3, 2, 5} // unsorted on purpose; input must not be modified
+	cases := []struct{ q, want float64 }{
+		{0, 1}, {1, 5}, {0.5, 3}, {0.25, 2}, {0.125, 1.5},
+		{-1, 1}, {2, 5}, // clamped
+	}
+	for _, c := range cases {
+		if got := Quantiles(xs, c.q)[0]; got != c.want {
+			t.Errorf("Quantiles(%v) = %v, want %v", c.q, got, c.want)
+		}
+	}
+	if xs[0] != 4 {
+		t.Errorf("input modified: %v", xs)
+	}
+	if got := Quantiles(nil, 0.5)[0]; got != 0 {
+		t.Errorf("empty quantile = %v", got)
+	}
+	if got := Quantiles([]float64{7}, 0.99)[0]; got != 7 {
+		t.Errorf("singleton quantile = %v", got)
+	}
+}
+
 func TestQuantiles(t *testing.T) {
-	xs := []float64{4, 1, 3, 2, 5}                 // unsorted on purpose; input must not be modified
+	xs := []float64{4, 1, 3, 2, 5}
 	qs := []float64{0, 1, 0.5, 0.25, 0.125, -1, 2} // the last two are clamped
 	want := []float64{1, 5, 3, 2, 1.5, 1, 5}
 	got := Quantiles(xs, qs...)
@@ -30,14 +52,14 @@ func TestQuantiles(t *testing.T) {
 			t.Fatalf("Quantiles(%v) = %v, want %v", qs, got, want)
 		}
 	}
-	if xs[0] != 4 {
-		t.Errorf("input modified: %v", xs)
-	}
 	if out := Quantiles(nil, 0.5, 0.9); len(out) != 2 || out[0] != 0 || out[1] != 0 {
 		t.Errorf("empty Quantiles = %v", out)
 	}
-	if got := Quantiles([]float64{7}, 0.99); got[0] != 7 {
-		t.Errorf("singleton quantile = %v", got)
+	// One call with many qs agrees with one call per q.
+	for i, q := range qs {
+		if one := Quantiles(xs, q)[0]; one != got[i] {
+			t.Errorf("Quantiles(%v) alone = %v, in a batch = %v", q, one, got[i])
+		}
 	}
 	if Quantiles(xs, 0.5)[0] != Median(xs) {
 		t.Errorf("median quantile disagrees with Median")
