@@ -93,6 +93,14 @@
 // and each excludes Cancel while its edge moves the job's accounting. Edges
 // into Done and Canceled wake waiters last, so a returning Wait finds the
 // gauges, the trace and the checkpoint settled.
+//
+// An event a client can observe is emitted only after the state it
+// announces is visible to that client's next request. In particular a
+// traced job is addressable before it can be dispatched: submission makes
+// the job its trace's owner (trace.Tracer.Owner returns it by job id) before
+// the first event that follows a queue push, a direct admission or a block,
+// and the job stays findable until its terminal event. A job whose Submit
+// is still waiting for a queue slot is not yet addressable.
 package jobs
 
 import (

@@ -101,6 +101,7 @@ func (s *Scheduler) admit(j *Job, idle []int) []int {
 // store suffices where the dispatcher's admit needs a CAS.
 func (s *Scheduler) admitDirect(j *Job, ids []int, elastic bool, chunk, maxK int) {
 	if j.tr != nil {
+		j.tr.SetOwner(j)
 		j.tr.Event(trace.EvAdmitted, s.cfg.shard, 0, "direct")
 	}
 	j.state.Store(int32(Running))

@@ -539,6 +539,7 @@ func (s *Scheduler) submit(req Request, pool *Sharded) (*Job, error) {
 		// observing this job.
 		s.blocked.Add(1)
 		s.submitMu.RUnlock()
+		j.tr.SetOwner(j)
 		j.block()
 		return j, nil
 	}
@@ -590,6 +591,7 @@ func (s *Scheduler) submit(req Request, pool *Sharded) (*Job, error) {
 	s.depth.Add(1)
 	// Admitted to the intake before the queue push, so the event is always
 	// published before the dispatcher can emit the job's dispatched event.
+	j.tr.SetOwner(j)
 	j.tr.Event(trace.EvAdmitted, s.cfg.shard, 0, "")
 	s.fq.push(j)
 	s.wake()
@@ -770,6 +772,7 @@ func (s *Scheduler) submitBatchChunk(reqs []Request, out []*Job) error {
 			continue
 		}
 		if j.tr != nil {
+			j.tr.SetOwner(j)
 			j.tr.Event(trace.EvAdmitted, s.cfg.shard, 0, "batch")
 		}
 		out[i] = j

@@ -1,11 +1,13 @@
 // Package linreg implements the Phoenix++ linear_regression workload used
 // in Figure 3 of the paper: a single pass over a large array of (x, y)
 // byte pairs accumulating the statistics Σx, Σy, Σxx, Σyy, Σxy and the point
-// count, from which the least-squares line is computed. The entire workload
-// is one big reduction, so its parallel efficiency is governed by the
-// runtime's reduction implementation — per-worker views merged in the join
-// half-barrier (fine-grain), an extra reduction barrier (OpenMP) or per-task
-// lazily allocated views (Cilk).
+// count, from which the least-squares line is computed. As in Phoenix++,
+// the map keeps the statistics of a chunk as integers (the coordinates are
+// bytes), which yields exactly the float sums at integer-add cost; see Sum.
+// The entire workload is one big reduction, so its parallel efficiency is
+// governed by the runtime's reduction implementation — per-worker views
+// merged in the join half-barrier (fine-grain), an extra reduction barrier
+// (OpenMP) or per-task lazily allocated views (Cilk).
 package linreg
 
 import (
@@ -77,30 +79,42 @@ func Generate(n int) Dataset {
 	return Dataset{Points: pts}
 }
 
-// Job returns the Phoenix-style array job for the dataset.
+// Job returns the Phoenix-style array job for the dataset. Its map folds
+// each chunk with Sum.
 func (d Dataset) Job() phoenix.ArrayJob {
-	pts := d.Points
 	return phoenix.ArrayJob{
 		NumKeys: numStats,
 		Map: func(w, begin, end int, emit []float64) {
-			var sx, sy, sxx, syy, sxy, n float64
-			for i := begin; i < end; i++ {
-				x := float64(pts[i].X)
-				y := float64(pts[i].Y)
-				sx += x
-				sy += y
-				sxx += x * x
-				syy += y * y
-				sxy += x * y
-				n++
-			}
-			emit[idxSX] += sx
-			emit[idxSY] += sy
-			emit[idxSXX] += sxx
-			emit[idxSYY] += syy
-			emit[idxSXY] += sxy
-			emit[idxN] += n
+			s := d.Sum(begin, end)
+			emit[idxSX] += s.SX
+			emit[idxSY] += s.SY
+			emit[idxSXX] += s.SXX
+			emit[idxSYY] += s.SYY
+			emit[idxSXY] += s.SXY
+			emit[idxN] += s.N
 		},
+	}
+}
+
+// Sum returns the statistics of points [begin, end). Like Phoenix++'s own
+// linear_regression it keeps them as integers: the coordinates are bytes,
+// so each sum is an integer, and below 2^37 points every partial sum stays
+// under 2^53. The float64 results are therefore exactly those of a float
+// accumulation, at integer-add cost.
+func (d Dataset) Sum(begin, end int) Stats {
+	var sx, sy, sxx, syy, sxy uint64
+	for _, p := range d.Points[begin:end] {
+		x, y := uint64(p.X), uint64(p.Y)
+		sx += x
+		sy += y
+		sxx += x * x
+		syy += y * y
+		sxy += x * y
+	}
+	return Stats{
+		SX: float64(sx), SY: float64(sy),
+		SXX: float64(sxx), SYY: float64(syy), SXY: float64(sxy),
+		N: float64(end - begin),
 	}
 }
 
@@ -153,9 +167,7 @@ func (d Dataset) RunChunked(s sched.Scheduler, chunk int) (Stats, error) {
 // Sequential computes the statistics on the calling goroutine; it is the
 // speedup baseline and the correctness oracle.
 func (d Dataset) Sequential() Stats {
-	var emit [numStats]float64
-	d.Job().Map(0, 0, len(d.Points), emit[:])
-	return statsFromVec(emit[:])
+	return d.Sum(0, len(d.Points))
 }
 
 func statsFromVec(v []float64) Stats {

@@ -8,6 +8,7 @@ import (
 	"loopsched/internal/cilk"
 	"loopsched/internal/core"
 	"loopsched/internal/omp"
+	"loopsched/internal/phoenix"
 	"loopsched/internal/sched"
 )
 
@@ -143,5 +144,92 @@ func TestSolveKnownLine(t *testing.T) {
 	}
 	if math.Abs(res.Slope-2) > 1e-9 || math.Abs(res.Intercept-1) > 1e-9 || math.Abs(res.R2-1) > 1e-9 {
 		t.Errorf("Solve = %+v", res)
+	}
+}
+
+// referenceJob is the dataset's array job as first written, with the six
+// statistics accumulated in float64.
+func referenceJob(d Dataset) phoenix.ArrayJob {
+	pts := d.Points
+	return phoenix.ArrayJob{
+		NumKeys: numStats,
+		Map: func(w, begin, end int, emit []float64) {
+			var sx, sy, sxx, syy, sxy, n float64
+			for i := begin; i < end; i++ {
+				x := float64(pts[i].X)
+				y := float64(pts[i].Y)
+				sx += x
+				sy += y
+				sxx += x * x
+				syy += y * y
+				sxy += x * y
+				n++
+			}
+			emit[idxSX] += sx
+			emit[idxSY] += sy
+			emit[idxSXX] += sxx
+			emit[idxSYY] += syy
+			emit[idxSXY] += sxy
+			emit[idxN] += n
+		},
+	}
+}
+
+// referenceRun is RunChunked (chunk <= 0: Run) over referenceJob.
+func referenceRun(t *testing.T, d Dataset, s sched.Scheduler, chunk int) Stats {
+	t.Helper()
+	if chunk <= 0 {
+		chunk = len(d.Points)
+	}
+	job := referenceJob(d)
+	var total Stats
+	for begin := 0; begin < len(d.Points); begin += chunk {
+		end := min(begin+chunk, len(d.Points))
+		sub := phoenix.ArrayJob{
+			NumKeys: numStats,
+			Map: func(w, b, e int, emit []float64) {
+				job.Map(w, begin+b, begin+e, emit)
+			},
+		}
+		vec, err := sub.Run(s, end-begin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total = total.Add(statsFromVec(vec))
+	}
+	return total
+}
+
+// TestIntegerStatsMatchFloatReferenceBitwise pins Run, RunChunked and
+// Sequential to the float-accumulating map bit for bit: every partial sum
+// is an integer below 2^53, so integer accumulation changes no result.
+func TestIntegerStatsMatchFloatReferenceBitwise(t *testing.T) {
+	data := Generate(100003)
+	same := func(name string, got, want Stats) {
+		t.Helper()
+		g := []float64{got.SX, got.SY, got.SXX, got.SYY, got.SXY, got.N}
+		w := []float64{want.SX, want.SY, want.SXX, want.SYY, want.SXY, want.N}
+		for i := range g {
+			if math.Float64bits(g[i]) != math.Float64bits(w[i]) {
+				t.Errorf("%s: statistic %d = %v, reference %v", name, i, g[i], w[i])
+			}
+		}
+	}
+	same("Sequential", data.Sequential(), referenceRun(t, data, sched.NewSequential(), 0))
+	for _, rt := range []sched.Scheduler{
+		sched.NewSequential(),
+		core.New(core.Config{Workers: 2, LockOSThread: false}),
+	} {
+		got, err := data.Run(rt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same(rt.Name()+" Run", got, referenceRun(t, data, rt, 0))
+		got, err = data.RunChunked(rt, 7777)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same(rt.Name()+" RunChunked", got, referenceRun(t, data, rt, 7777))
+		rt.Close()
 	}
 }

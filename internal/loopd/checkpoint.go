@@ -1,5 +1,5 @@
-// checkpoint.go is the serving half of checkpoint/resume: the live-job
-// registry behind POST /jobs/{job}/suspend and /jobs/{job}/resume, the
+// checkpoint.go is the serving half of checkpoint/resume: the job lookup
+// behind POST /jobs/{job}/suspend and /jobs/{job}/resume, the
 // checkpoint template stamped onto durable /run submissions, and the startup
 // recovery pass that replays the store and re-admits unfinished jobs under
 // their original job ids.
@@ -14,29 +14,6 @@ import (
 	"loopsched/internal/bench"
 	"loopsched/internal/jobs"
 )
-
-// trackJob indexes an in-flight job by trace id for the suspend/resume
-// endpoints; untraced jobs (id 0) are not addressable and are skipped.
-func (s *Server) trackJob(j *jobs.Job) {
-	id := j.TraceID()
-	if id == 0 {
-		return
-	}
-	s.liveMu.Lock()
-	s.live[id] = j
-	s.liveMu.Unlock()
-}
-
-// untrackJob retires a finished job from the registry.
-func (s *Server) untrackJob(j *jobs.Job) {
-	id := j.TraceID()
-	if id == 0 {
-		return
-	}
-	s.liveMu.Lock()
-	delete(s.live, id)
-	s.liveMu.Unlock()
-}
 
 // checkpointFor builds the durable-snapshot template of one /run job: the
 // workload name plus its encoded parameters, everything recovery needs to
@@ -88,18 +65,16 @@ func (s *Server) recoverFromStore() error {
 		}
 		byID[cp.JobID] = j
 		s.recovered.Add(1)
-		s.trackJob(j)
-		go func(j *jobs.Job) {
-			j.Wait()
-			s.untrackJob(j)
-		}(j)
 	}
 	return nil
 }
 
-// liveJob resolves the {job} path parameter against the registry. On failure
-// it has already written the response: 400 for a malformed id, 404 when
-// tracing is off (jobs are not addressable) or the job is not in flight.
+// liveJob resolves the {job} path parameter to the in-flight job the tracer
+// knows by that id: the runtime makes a job its trace's owner before it can
+// be dispatched, so a client acting on any event after submission finds it.
+// On failure it has already written the response: 400 for a malformed id,
+// 404 when tracing is off (jobs are not addressable) or the job is not in
+// flight.
 func (s *Server) liveJob(w http.ResponseWriter, r *http.Request) (*jobs.Job, uint64, bool) {
 	if s.tracer == nil {
 		http.Error(w, "job control needs tracing (run loopd with -trace or -checkpoint-dir)", http.StatusNotFound)
@@ -110,11 +85,9 @@ func (s *Server) liveJob(w http.ResponseWriter, r *http.Request) (*jobs.Job, uin
 		http.Error(w, fmt.Sprintf("bad job id: %v", err), http.StatusBadRequest)
 		return nil, 0, false
 	}
-	s.liveMu.Lock()
-	j := s.live[id]
-	s.liveMu.Unlock()
+	j, _ := s.tracer.Owner(id).(*jobs.Job)
 	if j == nil {
-		http.Error(w, fmt.Sprintf("job %d is not in flight (completed, never submitted, or submitted untracked)", id), http.StatusNotFound)
+		http.Error(w, fmt.Sprintf("job %d is not in flight (completed, never submitted, or still waiting for a queue slot)", id), http.StatusNotFound)
 		return nil, 0, false
 	}
 	return j, id, true

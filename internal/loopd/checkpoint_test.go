@@ -42,10 +42,14 @@ func TestEventsKeepaliveOnIdleStream(t *testing.T) {
 	}
 	// No jobs are submitted: every non-blank line on this stream must be the
 	// keepalive comment, and at least two must arrive (periodic, not one-shot).
+	// The request's deadline bounds the scan: a stream that stops short
+	// ends it with an error, reported with every line seen.
 	sc := bufio.NewScanner(resp.Body)
+	var seen []string
 	heartbeats := 0
 	for heartbeats < 2 && sc.Scan() {
 		line := sc.Text()
+		seen = append(seen, line)
 		if line == "" {
 			continue
 		}
@@ -55,7 +59,7 @@ func TestEventsKeepaliveOnIdleStream(t *testing.T) {
 		heartbeats++
 	}
 	if heartbeats < 2 {
-		t.Fatalf("stream ended after %d heartbeats (want 2): %v", heartbeats, sc.Err())
+		t.Fatalf("stream ended after %d heartbeats (want 2), lines seen %q: %v", heartbeats, seen, sc.Err())
 	}
 }
 
@@ -157,7 +161,7 @@ func TestSuspendResumeOverHTTP(t *testing.T) {
 	awaitEvent(t, stream, "resumed", id)
 	awaitEvent(t, stream, "joined", id)
 
-	if err := <-runDone; err != nil {
+	if err := awaitDone(t, runDone, "suspended and resumed /run"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -177,6 +181,35 @@ func TestSuspendResumeOverHTTP(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("trace of job %d missing %s span data", id, want)
 		}
+	}
+}
+
+// TestJobAddressableOnDispatch: a job must be addressable as soon as its
+// dispatched event is out, even while the /run that submitted it has not
+// got its handle back. With one worker and a one-slot queue, a batch of
+// three jobs keeps the handler inside SubmitBatch while the first job runs:
+// the third job waits for a queue slot until the second is admitted, which
+// needs the first to finish or park. A suspend sent on the first job's
+// dispatched event must therefore find it, not answer 404.
+func TestJobAddressableOnDispatch(t *testing.T) {
+	_, ts := newTracedServer(t, Config{Workers: 1, Shards: 1, QueueDepth: 1})
+	stream := openEvents(t, ts.URL, "")
+	runDone := slowRun(t, ts.URL, "/run?workload=spinsum&n=3000&iterns=100000&grain=8&jobs=3&batch=1")
+
+	id := awaitEvent(t, stream, "dispatched", 0).Job
+	resp, err := http.Post(fmt.Sprintf("%s/jobs/%d/suspend", ts.URL, id), "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("suspend on job %d's dispatched event: status %d: %s", id, resp.StatusCode, body)
+	}
+	awaitEvent(t, stream, "suspended", id)
+	postJSON(t, fmt.Sprintf("%s/jobs/%d/resume", ts.URL, id))
+	if err := awaitDone(t, runDone, "batch /run with a suspended job"); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -253,7 +286,7 @@ func TestCheckpointRecoveryAcrossRestart(t *testing.T) {
 	// in-flight /run handler so the listener can drain its connection.
 	stream.close()
 	srv1.Close()
-	<-runDone // outcome irrelevant: the job was torn down mid-flight
+	awaitDone(t, runDone, "/run of the job torn down mid-flight") // outcome irrelevant
 	ts1.Close()
 
 	srv2, ts2 := boot()

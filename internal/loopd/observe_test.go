@@ -106,6 +106,22 @@ func (s *eventStream) collect(done func([]trace.StreamEvent) bool) []trace.Strea
 	return events
 }
 
+// runWait bounds every wait on a /run answer: a stuck request fails its
+// test with what it waited for instead of hanging the test binary.
+const runWait = 30 * time.Second
+
+// awaitDone receives one value from done within runWait.
+func awaitDone[T any](t *testing.T, done <-chan T, what string) T {
+	t.Helper()
+	select {
+	case v := <-done:
+		return v
+	case <-time.After(runWait):
+		t.Fatalf("%s: no answer within %v", what, runWait)
+		panic("unreachable")
+	}
+}
+
 // countType counts events of one type.
 func countType(events []trace.StreamEvent, typ string) int {
 	n := 0
@@ -165,7 +181,7 @@ func TestEventsPipelineCausalOrder(t *testing.T) {
 
 	events := stream.collect(finished)
 	for i := 0; i < 2; i++ {
-		if err := <-runDone; err != nil {
+		if err := awaitDone(t, runDone, "pipeline and priority /run"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -208,7 +224,7 @@ func TestEventsTenantFilter(t *testing.T) {
 	}()
 
 	events := stream.collect(finished)
-	<-runDone
+	awaitDone(t, runDone, "gold and bronze /run")
 	if len(events) == 0 {
 		t.Fatal("filtered feed delivered nothing")
 	}

@@ -132,11 +132,6 @@ type Server struct {
 	// recovered counts the jobs re-admitted from it at startup.
 	ckpts     *jobs.FileStore
 	recovered atomic.Int64
-
-	// live indexes in-flight jobs by trace id for the suspend/resume
-	// endpoints; entries retire when the awaiting goroutine sees completion.
-	liveMu sync.Mutex
-	live   map[uint64]*jobs.Job
 }
 
 // New builds a Server over a freshly constructed sharded runtime. With
@@ -207,7 +202,6 @@ func New(cfg Config) (*Server, error) {
 		started:     time.Now(),
 		mux:         http.NewServeMux(),
 		ckpts:       store,
-		live:        make(map[uint64]*jobs.Job),
 	}
 	s.mux.HandleFunc("POST /run", s.handleRun)
 	s.mux.HandleFunc("GET /stats", s.handleStats)
@@ -575,7 +569,6 @@ func (s *Server) runPipeline(w http.ResponseWriter, stages []pipelineStage, iter
 			}
 			cur = append(cur, j)
 			all = append(all, submitted{si, i, j})
-			s.trackJob(j)
 		}
 		prev = cur
 	}
@@ -585,7 +578,6 @@ func (s *Server) runPipeline(w http.ResponseWriter, stages []pipelineStage, iter
 		go func(sub submitted) {
 			defer wg.Done()
 			v, err := sub.job.Wait()
-			s.untrackJob(sub.job)
 			res := &stages[sub.stage].Results[sub.idx]
 			// Like the plain /run path: seconds from request start to this
 			// job's completion — for a dependent job that includes the time
@@ -629,13 +621,11 @@ func (s *Server) runJobs(w http.ResponseWriter, workload string, n, nJobs int, i
 	start := time.Now()
 	var wg sync.WaitGroup
 	await := func(i int, j *jobs.Job) {
-		s.trackJob(j)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			jobStart := time.Now()
 			v, err := j.Wait()
-			s.untrackJob(j)
 			resp.Results[i].Seconds = time.Since(jobStart).Seconds()
 			resp.Results[i].Job = traceID(j)
 			resp.Results[i].Workers = j.Workers()

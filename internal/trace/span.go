@@ -343,6 +343,32 @@ func (t *Tracer) BeginAt(id uint64, tenant, label string, priority int) *JobTrac
 	}
 }
 
+// SetOwner makes the trace's owner — the job handle it describes — findable
+// through Tracer.Owner by the trace's id until the trace finishes. A
+// scheduler calls it before the job can be dispatched, so a client acting on
+// any later event of the job finds it. Safe on a nil receiver.
+func (jt *JobTrace) SetOwner(owner any) {
+	if jt == nil {
+		return
+	}
+	c := &jt.t.col
+	c.mu.Lock()
+	c.owners[jt.ID] = owner
+	c.mu.Unlock()
+}
+
+// Owner returns the owner set on the unfinished trace of the given job id,
+// or nil when there is none: the id is unknown, its trace has finished, or
+// no owner was set. Safe on a nil receiver.
+func (t *Tracer) Owner(id uint64) any {
+	if t == nil {
+		return nil
+	}
+	t.col.mu.Lock()
+	defer t.col.mu.Unlock()
+	return t.col.owners[id]
+}
+
 // Trace returns the finished trace of the given job id, or nil when the job
 // has not finished or its trace was evicted from the ring. Safe on a nil
 // receiver.
@@ -446,22 +472,27 @@ func (s *Subscription) Close() {
 	s.t.subMu.Unlock()
 }
 
-// collector is the ring buffer of finished job traces, indexed by job id.
+// collector is the ring buffer of finished job traces, indexed by job id,
+// and the owners of unfinished ones: a trace leaves owners in the same
+// critical section that files it in the ring.
 type collector struct {
-	mu   sync.Mutex
-	ring []*JobTrace
-	byID map[uint64]int
-	next int
-	n    int
+	mu     sync.Mutex
+	ring   []*JobTrace
+	byID   map[uint64]int
+	owners map[uint64]any
+	next   int
+	n      int
 }
 
 func (c *collector) init(capacity int) {
 	c.ring = make([]*JobTrace, capacity)
 	c.byID = make(map[uint64]int, capacity)
+	c.owners = make(map[uint64]any)
 }
 
 func (c *collector) add(jt *JobTrace) {
 	c.mu.Lock()
+	delete(c.owners, jt.ID)
 	if old := c.ring[c.next]; old != nil {
 		delete(c.byID, old.ID)
 	}

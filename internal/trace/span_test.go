@@ -32,6 +32,30 @@ func TestNilTracerIsInert(t *testing.T) {
 	if tr.Subscribe(1, "", 0) != nil {
 		t.Fatalf("nil tracer Subscribe != nil")
 	}
+	jt.SetOwner(1)
+	if tr.Owner(1) != nil {
+		t.Fatalf("nil tracer Owner != nil")
+	}
+}
+
+// TestOwnerUntilTerminalEvent: an owned trace's owner is found by id from
+// SetOwner until the trace's terminal event, and never for an unowned one.
+func TestOwnerUntilTerminalEvent(t *testing.T) {
+	tr := NewTracer(4)
+	owned, unowned := tr.Begin("t", "", 0), tr.Begin("t", "", 0)
+	owner := new(int)
+	owned.SetOwner(owner)
+	owned.Event(EvDispatched, 0, 1, "")
+	if got := tr.Owner(owned.ID); got != owner {
+		t.Fatalf("Owner(%d) = %v after dispatch, want the owner", owned.ID, got)
+	}
+	if got := tr.Owner(unowned.ID); got != nil {
+		t.Fatalf("Owner of an unowned trace = %v, want nil", got)
+	}
+	owned.Event(EvJoined, 0, 1, "")
+	if got := tr.Owner(owned.ID); got != nil {
+		t.Fatalf("Owner(%d) = %v after the terminal event, want nil", owned.ID, got)
+	}
 }
 
 func TestEventOrderAndTerminalFiling(t *testing.T) {
