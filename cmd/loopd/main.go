@@ -78,7 +78,6 @@ func main() {
 	maxPerJob := flag.Int("max-workers-per-job", 0, "sub-team cap per job (0 = no cap)")
 	queue := flag.Int("queue", 0, "total admission queue depth, split across shards (0 = default)")
 	grain := flag.Int("grain", 0, "default self-scheduling chunk size in iterations (0 = heuristic)")
-	elastic := flag.Bool("elastic", true, "let sub-teams grow/shrink after admission (chunked self-scheduling)")
 	tenants := flag.String("tenants", "", "tenant fair-share weights: name=w,... or bare w1,w2,... (registers t1,t2,...)")
 	fair := flag.Bool("fair", true, "weighted-fair admission with priorities, deadlines and preemption (false = plain FIFO)")
 	lock := flag.Bool("lock-os-threads", false, "pin workers to OS threads")
@@ -108,7 +107,6 @@ func main() {
 		MaxWorkersPerJob: *maxPerJob,
 		QueueDepth:       *queue,
 		DefaultGrain:     *grain,
-		DisableElastic:   !*elastic,
 		TenantWeights:    weights,
 		DisableFair:      !*fair,
 		LockOSThread:     *lock,

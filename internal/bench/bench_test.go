@@ -277,67 +277,6 @@ func TestRunMultitenantSmall(t *testing.T) {
 	}
 }
 
-func TestBurstElasticBeatsRigidP95(t *testing.T) {
-	// The convoy acceptance criterion: on the burst-after-big-job scenario,
-	// elastic sub-teams must yield lower burst p95 latency than the rigid
-	// (pre-elastic) scheduler, with reduction results still exact (RunBurst
-	// verifies every burst job's closed-form sum). Timing comparisons are
-	// retried a few times to ride out noisy CI machines; the gap is
-	// structural (a full static block vs one chunk), so a genuine regression
-	// fails every attempt.
-	if testing.Short() {
-		t.Skip("timing comparison; run without -short (tier-1)")
-	}
-	opt := BurstOptions{Workers: 4, BigN: 8192, BurstJobs: 8, BurstN: 256, IterNs: 4000}
-	var lastElastic, lastRigid BurstResult
-	for attempt := 0; attempt < 3; attempt++ {
-		elastic, rigid, err := RunBurstComparison(opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lastElastic, lastRigid = elastic, rigid
-		// An attempt counts only when the p95 improved AND the sub-teams
-		// visibly resized: which elastic mechanism serves the burst depends
-		// on the machine's scheduling (workers peel off the big job, or
-		// idle workers grow onto the under-provisioned tenants), and on a
-		// badly oversubscribed box the big job can occasionally finish
-		// before the burst even lands — retry those runs.
-		if elastic.BurstP95 < rigid.BurstP95 && elastic.Peeled+elastic.Grown >= 1 {
-			var buf bytes.Buffer
-			if err := WriteBurst(&buf, elastic, rigid); err != nil {
-				t.Fatal(err)
-			}
-			for _, want := range []string{"convoy", "rigid", "elastic"} {
-				if !strings.Contains(buf.String(), want) {
-					t.Errorf("burst report missing %q:\n%s", want, buf.String())
-				}
-			}
-			return
-		}
-		t.Logf("attempt %d: elastic p95 %.3fms (grown %d, peeled %d) vs rigid p95 %.3fms; retrying",
-			attempt, elastic.BurstP95*1e3, elastic.Grown, elastic.Peeled, rigid.BurstP95*1e3)
-	}
-	t.Fatalf("elastic burst p95 %.3fms did not beat rigid %.3fms (with a visible resize) in 3 attempts",
-		lastElastic.BurstP95*1e3, lastRigid.BurstP95*1e3)
-}
-
-func TestSkewComparisonRuns(t *testing.T) {
-	elastic, rigid, err := RunSkewComparison(SkewOptions{Workers: 4, N: 2048, Jobs: 2, IterNs: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if elastic.MeanSeconds <= 0 || rigid.MeanSeconds <= 0 {
-		t.Fatalf("non-positive run times: elastic %+v rigid %+v", elastic, rigid)
-	}
-	var buf bytes.Buffer
-	if err := WriteSkew(&buf, elastic, rigid); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "straggler") {
-		t.Errorf("skew report:\n%s", buf.String())
-	}
-}
-
 func TestCalibratedWorkloadCache(t *testing.T) {
 	// Building the same workload twice must reuse the calibrated work: the
 	// serving daemon builds one request per HTTP job.
@@ -375,10 +314,10 @@ func TestJobWorkloadRegistry(t *testing.T) {
 
 func TestScenarioRegistry(t *testing.T) {
 	names := ScenarioNames()
-	if len(names) != 14 {
+	if len(names) != 12 {
 		t.Fatalf("scenario registry: %v", names)
 	}
-	for _, want := range []string{"table1", "mpdata", "linreg", "ablation", "multitenant", "burst", "skew", "shardburst", "pipeline", "fairshare", "traceoverhead", "submitpath", "overload", "checkpoint"} {
+	for _, want := range []string{"table1", "mpdata", "linreg", "ablation", "multitenant", "shardburst", "pipeline", "fairshare", "traceoverhead", "submitpath", "overload", "checkpoint"} {
 		if _, ok := scenarios[want]; !ok {
 			t.Errorf("scenario %q not registered", want)
 		}

@@ -274,7 +274,7 @@ func checkpointWriteCost(opt CheckpointOptions) (float64, error) {
 	cp := jobs.Checkpoint{
 		Workload: "spinsum",
 		Params:   json.RawMessage(`{"N":4096,"IterNs":150}`),
-		Tenant:   "bench", N: opt.N, Commutative: true,
+		Tenant:   "bench", N: opt.N,
 	}
 	start := time.Now()
 	for i := 0; i < opt.PutRecords; i++ {

@@ -173,9 +173,6 @@ type MultitenantOptions struct {
 	MaxWorkersPerJob int
 	// QueueDepth bounds the admission queue; <= 0 selects the default.
 	QueueDepth int
-	// DisableElastic freezes sub-teams at admission (rigid static blocks),
-	// for comparing against the elastic scheduler.
-	DisableElastic bool
 }
 
 func (o *MultitenantOptions) normalize() {
@@ -224,7 +221,6 @@ func RunMultitenant(opt MultitenantOptions) (MultitenantResult, error) {
 		Workers:          opt.Workers,
 		MaxWorkersPerJob: opt.MaxWorkersPerJob,
 		QueueDepth:       opt.QueueDepth,
-		DisableElastic:   opt.DisableElastic,
 		Name:             "multitenant",
 	})
 	res := MultitenantResult{

@@ -105,22 +105,6 @@ func scenario[O, R any](quick O, run func(O) (R, error), write func(io.Writer, R
 	}
 }
 
-// elasticRigid pairs the elastic and rigid runs of a comparison scenario.
-type elasticRigid[R any] struct {
-	Elastic R `json:"elastic"`
-	Rigid   R `json:"rigid"`
-}
-
-// elasticVsRigid adapts a RunXComparison/WriteX pair to a Scenario.
-func elasticVsRigid[O, R any](quick O, run func(O) (R, R, error), write func(io.Writer, R, R) error) Scenario {
-	return scenario(quick,
-		func(opt O) (elasticRigid[R], error) {
-			e, r, err := run(opt)
-			return elasticRigid[R]{e, r}, err
-		},
-		func(w io.Writer, rep elasticRigid[R]) error { return write(w, rep.Elastic, rep.Rigid) })
-}
-
 // scenarios maps scenario names to their runs.
 var scenarios = map[string]Scenario{
 	"table1": scenario(BurdenOptions{Points: 6, Reps: 2, MaxTotal: 2 * time.Millisecond}, Table1, WriteTable1),
@@ -141,10 +125,6 @@ var scenarios = map[string]Scenario{
 	},
 	"multitenant": scenario(MultitenantOptions{Tenants: 8, JobsPerTenant: 10, Params: JobParams{N: 2048}},
 		RunMultitenant, WriteMultitenant),
-	"burst": elasticVsRigid(BurstOptions{Workers: 4, BigN: 4096, BurstJobs: 8, BurstN: 256, IterNs: 1500},
-		RunBurstComparison, WriteBurst),
-	"skew": elasticVsRigid(SkewOptions{Workers: 4, N: 4096, Jobs: 3, IterNs: 300},
-		RunSkewComparison, WriteSkew),
 	"shardburst": scenario(ShardBurstOptions{Workers: 4, Shards: 2, Tenants: 8, JobsPerTenant: 10, N: 256},
 		RunShardBurstComparison, WriteShardBurst),
 	"fairshare": scenario(FairShareOptions{Workers: 4, Duration: 250 * time.Millisecond, N: 1024},

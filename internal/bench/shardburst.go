@@ -16,7 +16,7 @@ import (
 // ShardBurstOptions configures the sharded-throughput scenario: many
 // concurrent tenants hammer the pool with small jobs (the dispatcher-bound
 // regime a single admission event loop serializes on) mixed with occasional
-// big skewed jobs (the burst/skew mix that leaves rigid partitions
+// big skewed jobs (the burst/skew mix that leaves static partitions
 // imbalanced). The same workload runs on one shard and on n shards; the
 // shard count is the only variable.
 type ShardBurstOptions struct {

@@ -49,11 +49,10 @@ type Checkpoint struct {
 	// Cursor did. A resumed job claims chunks starting at Cursor.
 	N      int `json:"n"`
 	Cursor int `json:"cursor"`
-	// Acc is the partial reduction folded over [0, Cursor), meaningful only
-	// when Commutative is set (the elastic arrival-order fold); rigid
-	// (ordered) reducers cannot resume mid-space and restart from Cursor 0.
-	Acc         float64 `json:"acc,omitempty"`
-	Commutative bool    `json:"commutative,omitempty"`
+	// Acc is the partial reduction folded over [0, Cursor): in arrival
+	// order for a commutative reduction, in chunk order for an ordered one.
+	// Plain bodies restart from Cursor 0 on recovery.
+	Acc float64 `json:"acc,omitempty"`
 	// After lists the trace ids of upstream jobs this one was submitted
 	// behind, so recovery can rebuild dependency edges. Ids absent from the
 	// store at recovery finished before the crash and gate nothing.

@@ -41,7 +41,7 @@ func TestFileStoreReplayAcrossReopen(t *testing.T) {
 	}
 	dl := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	put := []Checkpoint{
-		{JobID: 1, Workload: "a", N: 100, Cursor: 40, Acc: 780, Commutative: true},
+		{JobID: 1, Workload: "a", N: 100, Cursor: 40, Acc: 780},
 		{JobID: 2, Workload: "b", N: 50, Tenant: "t", Priority: 3, Deadline: dl, After: []uint64{1}},
 		{JobID: 3, Workload: "c", N: 10},
 	}
@@ -72,11 +72,33 @@ func TestFileStoreReplayAcrossReopen(t *testing.T) {
 	if len(cps) != 2 {
 		t.Fatalf("replay found %d checkpoints, want 2", len(cps))
 	}
-	if cps[0].JobID != 1 || cps[0].Cursor != 40 || cps[0].Acc != 780 || !cps[0].Commutative {
+	if cps[0].JobID != 1 || cps[0].Cursor != 40 || cps[0].Acc != 780 {
 		t.Fatalf("checkpoint 1 mangled: %+v", cps[0])
 	}
 	if cps[1].Tenant != "t" || cps[1].Priority != 3 || !cps[1].Deadline.Equal(dl) || len(cps[1].After) != 1 {
 		t.Fatalf("checkpoint 2 mangled: %+v", cps[1])
+	}
+}
+
+// TestFileStoreDecodesRetiredKeys: a WAL written before a Checkpoint field
+// was retired still replays; the stale key is ignored.
+func TestFileStoreDecodesRetiredKeys(t *testing.T) {
+	dir := t.TempDir()
+	rec := `{"op":"put","cp":{"job":7,"workload":"w","n":100,"cursor":40,"acc":780,"commutative":true}}` + "\n"
+	if err := os.WriteFile(filepath.Join(dir, walName), []byte(rec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	cps, err := st.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cps) != 1 || cps[0].JobID != 7 || cps[0].Cursor != 40 || cps[0].Acc != 780 {
+		t.Fatalf("load = %+v, want job 7 at cursor 40 with acc 780", cps)
 	}
 }
 

@@ -1,8 +1,8 @@
 package jobs_test
 
 // The deterministic invariant harness (internal/schedtest) drives every jobs
-// runtime configuration with the same seeded op stream: elastic, rigid,
-// capped, single-worker, and sharded with stealing on a hostile (tiny) steal
+// runtime configuration with the same seeded op stream: default, capped,
+// single-worker, and sharded with stealing on a hostile (tiny) steal
 // interval. Run under -race; CI's nightly race-stress job repeats these with
 // -count to shake out probabilistic interleavings.
 
@@ -43,12 +43,6 @@ func TestInvariantElasticScheduler(t *testing.T) {
 	s := jobs.New(jobs.Config{Workers: 4})
 	defer s.Close()
 	schedtest.RunJobInvariants(t, s, schedtest.InvariantOptions{Seed: seed}, 4, schedulerDrain(s))
-}
-
-func TestInvariantRigidScheduler(t *testing.T) {
-	s := jobs.New(jobs.Config{Workers: 4, DisableElastic: true})
-	defer s.Close()
-	schedtest.RunJobInvariants(t, s, schedtest.InvariantOptions{Seed: seed + 1}, 4, schedulerDrain(s))
 }
 
 func TestInvariantSingleWorker(t *testing.T) {
@@ -188,13 +182,4 @@ func TestInvariantOverloadSharded(t *testing.T) {
 			return schedtest.ShedTotals{Shed: st.ShedTotal, Infeasible: st.InfeasibleTotal, Backlogged: st.BackloggedTotal}
 		},
 		func(tenant string) string { return p.Stats().Total.Tenants[tenant].BreakerState })
-}
-
-func TestInvariantShardedRigid(t *testing.T) {
-	p := jobs.NewSharded(jobs.ShardedConfig{
-		Config: jobs.Config{Workers: 4, DisableElastic: true},
-		Shards: 2,
-	})
-	defer p.Close()
-	schedtest.RunJobInvariants(t, p, schedtest.InvariantOptions{Seed: seed + 6}, 4, shardedDrain(p))
 }

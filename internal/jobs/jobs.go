@@ -32,12 +32,18 @@
 // The join stays a half-barrier-shaped wave over the workers that actually
 // participated: leaving workers fold their partial (for reducing jobs) and
 // decrement the participant count without waiting for anyone; the last one
-// out completes the job. Reducing jobs take the elastic path only when the
-// request declares its combine Commutative — partials are then folded in
-// arrival order. Non-commutative reductions keep the rigid path: a static
-// block per sub-worker, a fixed sub-team and a join half-barrier that folds
-// views in worker order (exactly k-1 combines), bit-for-bit the same result
-// as the synchronous scheduler.
+// out completes the job. Every job runs this way. A reduction whose Combine
+// is declared Commutative folds one partial per participant stint, in
+// arrival order. Any other reduction is ordered: each chunk's partial,
+// started from Identity, lands in a per-job slot indexed by the chunk's
+// position in the space, and the last participant out folds the slots in
+// index order. An ordered result therefore depends only on N and the chunk
+// size — not on the sub-team size, on timing, on steals or on a suspension —
+// and it is the fold a sequential loop over the same chunks computes. The
+// chunk is fixed at the job's first admission (a job recovered from a
+// checkpoint picks it anew) and coarsened, if need be, to at most
+// orderedSlotsPerWorker chunks per worker the job could run on, so the
+// slots stay O(P).
 //
 // # Weighted-fair multi-tenancy
 //
@@ -110,7 +116,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"loopsched/internal/barrier"
 	"loopsched/internal/iterspace"
 	"loopsched/internal/sched"
 	"loopsched/internal/trace"
@@ -192,21 +197,22 @@ type Request struct {
 	N int
 	// Body is a plain loop body. The worker index it receives is the
 	// *sub-team* index: a dense id in [0, K) where K never exceeds the job's
-	// worker caps (and never exceeds the team size P). Under elastic
-	// execution a sub-worker may be called with several disjoint chunks, in
-	// increasing iteration order per sub-worker.
+	// worker caps (and never exceeds the team size P). A sub-worker may be
+	// called with several disjoint chunks, in increasing iteration order per
+	// sub-worker.
 	Body sched.Body
-	// RBody, Identity and Combine describe a scalar reducing loop: per-worker
-	// partials start at Identity and are folded with Combine. Unless
-	// Commutative is set, the fold happens in sub-worker order inside the
-	// join wave (k-1 combines, non-commutative safe) over static blocks.
+	// RBody, Identity and Combine describe a scalar reducing loop: partials
+	// start at Identity and are folded with Combine, which must be
+	// associative. Unless Commutative is set, each chunk's partial is kept
+	// and the join wave folds them in iteration order (non-commutative safe).
 	RBody    sched.ReduceBody
 	Identity float64
 	Combine  func(a, b float64) float64
 	// Commutative declares Combine commutative (and Identity a true
-	// identity), allowing the runtime to execute the reduction elastically:
-	// chunked self-scheduling with partials folded in arrival order. Leave
-	// it false for ordered (non-commutative) reductions.
+	// identity), letting each participant fold all its chunks into one
+	// partial and the join wave fold those in arrival order. Leave it false
+	// for ordered (non-commutative) reductions, whose result then depends
+	// only on N and the chunk size.
 	Commutative bool
 	// MaxWorkers caps the sub-team size for this job; <= 0 means no cap
 	// beyond the scheduler's own limits.
@@ -257,21 +263,14 @@ type Request struct {
 	// admission and at every suspension and deleted at completion or
 	// cancellation. The caller fills the identity fields (Workload, Params)
 	// so a restart can rebuild the request by name; a snapshot recovered
-	// from a store (JobID != 0) keeps its original job id, and one with
-	// Cursor > 0 resumes an elastic job from that watermark instead of
-	// iteration 0 (rigid jobs — ordered reductions, DisableElastic — restart
-	// from 0; a rigid re-execution still yields the identical result for
-	// reducing bodies, but a plain Body runs its early iterations again).
+	// from a store (JobID != 0) keeps its original job id, and a reducing
+	// job's snapshot with Cursor > 0 resumes from that watermark with its
+	// partial Acc instead of iteration 0 (a plain Body restarts from 0: its
+	// effects before the snapshot are not in it).
 	// Requires a Tracer (job ids come from it); SubmitBatch rejects it.
 	Checkpoint *Checkpoint
 	// Label tags the job in statistics (for example the workload name).
 	Label string
-}
-
-// paddedPartial is one sub-worker's reduction view on its own cache line.
-type paddedPartial struct {
-	v float64
-	_ [120]byte
 }
 
 // Job is one submitted parallel loop. Its methods are safe for concurrent
@@ -305,22 +304,10 @@ type Job struct {
 	result float64
 	err    error
 
-	// workers is the peak sub-team size (for rigid jobs, the molded size k),
-	// atomic because submitters may poll it while the job runs.
+	// workers is the peak sub-team size, atomic because submitters may poll
+	// it while the job runs.
 	workers atomic.Int32
 
-	// partials holds the per-sub-worker reduction views for rigid reducing
-	// jobs; the backing array is recycled with the job.
-	partials []paddedPartial
-
-	// bar/barK cache the rigid join half-barrier across generations: a
-	// recycled job admitted on the same sub-team size reuses the barrier
-	// (episodes are epoch-numbered, so reuse needs no reset).
-	bar  barrier.HalfPair
-	barK int
-
-	// Elastic execution state (zero for rigid jobs).
-	elastic bool
 	// cursor hands out grain-sized chunks of [0, N); one atomic add per
 	// claim is the hot path's only shared-state operation. Padded: every
 	// participant hammers the claim cursor, and the fields after it (active,
@@ -339,10 +326,15 @@ type Job struct {
 	slotMu   sync.Mutex
 	freeSubs []int
 	maxK     int
-	// redMu guards acc, the shared accumulator elastic reducing jobs fold
-	// into at leave time (once per participant, not per chunk).
+	// redMu guards acc, the shared accumulator commutative reductions fold
+	// into at leave time (once per participant, not per chunk). An ordered
+	// reduction's last participant folds slots into acc instead.
 	redMu sync.Mutex
 	acc   float64
+	// slots holds an ordered reduction's chunk partials for the current
+	// stint, indexed by (chunk begin - resumeFrom) / chunk; empty for other
+	// jobs. The backing array is recycled with the job.
+	slots []float64
 
 	// Admission-policy state: the normalized tenant account name, the
 	// priority class and deadline copied out of the request, and the
@@ -368,6 +360,7 @@ type Job struct {
 	ranNanos       atomic.Int64 // run time accumulated over earlier stints
 	resumeFrom     int          // cursor watermark the next dispatch starts at
 	resumeAcc      float64      // partial reduction folded over [0, resumeFrom)
+	chunk          int          // chunk size fixed at the first admission
 	ckptSeed       int          // watermark inherited at submit (crash recovery)
 	ckpt           *Checkpoint  // store snapshot template; nil = not durable
 
@@ -542,11 +535,11 @@ func (j *Job) Cancel() bool {
 // Suspend takes the job out of service with its progress captured, so it can
 // be resumed later — in this process via Resume, or (with a checkpoint store
 // configured) by a later process from the store. A Pending job is removed
-// from its admission queue immediately; a Running elastic job is asked to
-// quiesce and parks in the Suspended state once every participant has
-// finished its current chunk (poll State for the park). A Running rigid job
-// — ordered reduction, or DisableElastic — ignores the request and completes:
-// its static blocks have no chunk boundary to cut at.
+// from its admission queue immediately; a Running job is asked to quiesce
+// and parks in the Suspended state once every participant has finished its
+// current chunk (poll State for the park), or completes if no chunk is left.
+// An ordered reduction resumes to the same result bit for bit: its partials
+// are folded in chunk order however the chunks were split between stints.
 //
 // Suspend reports whether the suspension is in effect or accepted; false
 // means the job was blocked, terminal, or canceled in the window. Like
@@ -624,7 +617,7 @@ func (j *Job) Resume() bool {
 }
 
 // Workers returns the peak sub-team size the job has run on (0 until it is
-// admitted). Elastic jobs may grow and shrink while running; the peak is the
+// admitted). A sub-team may grow and shrink while running; the peak is the
 // largest number of simultaneous participants.
 func (j *Job) Workers() int { return int(j.workers.Load()) }
 
@@ -645,26 +638,22 @@ func (j *Job) TraceID() uint64 {
 // Label returns the request's label.
 func (j *Job) Label() string { return j.req.Label }
 
-// initElastic prepares the elastic execution state for a job about to be
-// admitted on k initial workers, with the given chunk size and participant
-// cap. Called by the admitting goroutine strictly before the release wave.
-// The slot stack's backing array is reused across the job's generations.
+// initElastic prepares the execution state for a job about to be admitted on
+// k initial workers, with the given chunk size and participant cap. Called
+// by the admitting goroutine strictly before the release wave. The slot
+// stack's and the ordered slots' backing arrays are reused across the job's
+// generations.
 //
 // The whole re-initialization runs under slotMu, paired with tryGrow holding
 // it across its claim: a sibling shard's lender that fetched this job before
 // a suspend can call tryGrow concurrently with the resume's re-admission,
 // and without the lock it could pop a slot from the dying generation's stack
 // and then join the fresh one with a duplicate sub id (or read the cursor
-// and elastic fields mid-rewrite). Under the lock it observes either the old
-// generation (active is 0, the claim fails) or the fully initialized new one.
+// mid-rewrite). Under the lock it observes either the old generation (active
+// is 0, the claim fails) or the fully initialized new one.
 func (j *Job) initElastic(k, chunk, maxK int) {
 	j.slotMu.Lock()
-	if !j.elastic {
-		// Only ever flips false→true, and the first admission happens before
-		// the job is visible to any grower; re-admissions skip the write so
-		// lock-free fast-path readers (runElastic participants) never race it.
-		j.elastic = true
-	}
+	j.chunk = chunk
 	// A resumed (or checkpoint-recovered) job claims from its watermark: the
 	// prefix [0, resumeFrom) already executed exactly once and its partial is
 	// restored below, so nothing re-runs and nothing double-folds.
@@ -676,9 +665,17 @@ func (j *Job) initElastic(k, chunk, maxK int) {
 		j.freeSubs = j.freeSubs[:maxK]
 	}
 	for i := range j.freeSubs {
-		// Stack order: the release wave pops dense ids 0, 1, 2, ... so rigid
-		// and elastic sub ids agree for the initial team.
+		// Stack order: the release wave pops dense ids 0, 1, 2, ...
 		j.freeSubs[i] = maxK - 1 - i
+	}
+	j.slots = j.slots[:0]
+	if j.ordered() {
+		n := max(j.req.N-j.resumeFrom+chunk-1, 0) / chunk
+		if cap(j.slots) < n {
+			j.slots = make([]float64, n)
+		} else {
+			j.slots = j.slots[:n]
+		}
 	}
 	if j.resumeFrom > 0 {
 		j.acc = j.resumeAcc
@@ -721,19 +718,23 @@ func (j *Job) leave(sub int) (last bool) {
 	return last
 }
 
-// ensurePartials sizes the per-sub-worker reduction views for k workers,
-// reusing the backing array across the job's generations. Entries are not
-// zeroed: every view in [0, k) is unconditionally written before it is read
-// (rigid participants store their block's partial even for an empty block).
-func (j *Job) ensurePartials(k int) {
-	if cap(j.partials) < k {
-		j.partials = make([]paddedPartial, k)
-	} else {
-		j.partials = j.partials[:k]
+// ordered reports whether the job is an ordered reduction: one whose chunk
+// partials are folded in iteration order because Combine may not commute.
+func (j *Job) ordered() bool { return j.req.RBody != nil && !j.req.Commutative }
+
+// foldSlots folds an ordered reduction's chunk partials into acc in index
+// order — the chunks' order in the iteration space — and empties the slots.
+// Only the last participant to leave calls it (on complete and on park):
+// leave's slotMu orders every partial before the fold. For other jobs the
+// slots are empty and this is a no-op.
+func (j *Job) foldSlots() {
+	for _, v := range j.slots {
+		j.acc = j.req.Combine(j.acc, v)
 	}
+	j.slots = j.slots[:0]
 }
 
-// tryGrow attempts to reserve a participant slot on a running elastic job.
+// tryGrow attempts to reserve a participant slot on a running job.
 // It returns the dense sub-worker id to use, or ok == false when the job is
 // at its cap, has no unclaimed work, or is completing. The CAS loop joins
 // only while at least one participant remains, so a completed job is never
@@ -748,7 +749,7 @@ func (j *Job) ensurePartials(k int) {
 func (j *Job) tryGrow() (sub int, ok bool) {
 	j.slotMu.Lock()
 	defer j.slotMu.Unlock()
-	if !j.elastic || j.suspendReq.Load() || j.cursor.Remaining() == 0 {
+	if j.suspendReq.Load() || j.cursor.Remaining() == 0 {
 		return 0, false
 	}
 	n := len(j.freeSubs)
@@ -804,10 +805,11 @@ func (j *Job) tryPeel(home *Scheduler, sub int) bool {
 	return true
 }
 
-// runElastic is one participant's share of an elastic job: claim chunks from
-// the cursor until the space is exhausted or queue pressure asks the worker
-// to peel off. The leave protocol folds the participant's partial *before*
-// the active decrement, so the completing participant observes every fold.
+// runElastic is one participant's share of a job: claim chunks from the
+// cursor until the space is exhausted or queue pressure asks the worker to
+// peel off. The leave protocol folds the participant's partial (or stores
+// each chunk's, for an ordered reduction) *before* the active decrement, so
+// the completing participant observes every fold.
 //
 // home is the scheduler the executing worker belongs to. It equals j.s except
 // for a worker lent across shards, which peels when either side is under
@@ -815,6 +817,10 @@ func (j *Job) tryPeel(home *Scheduler, sub int) bool {
 // shard (the lender wants its worker back for local tenants).
 func (j *Job) runElastic(home *Scheduler, sub int) {
 	reducing := j.req.RBody != nil
+	// An ordered reduction's chunks each start from Identity and keep their
+	// partial in the slot at their index within this stint.
+	ordered := j.ordered()
+	slots, start, chunk := j.slots, j.resumeFrom, j.chunk
 	for {
 		acc := j.req.Identity
 		touched := false
@@ -833,10 +839,13 @@ func (j *Job) runElastic(home *Scheduler, sub int) {
 			if !ok {
 				break
 			}
-			if reducing {
-				acc = j.req.RBody(sub, r.Begin, r.End, acc)
-			} else {
+			switch {
+			case !reducing:
 				j.req.Body(sub, r.Begin, r.End)
+			case ordered:
+				slots[(r.Begin-start)/chunk] = j.req.RBody(sub, r.Begin, r.End, j.req.Identity)
+			default:
+				acc = j.req.RBody(sub, r.Begin, r.End, acc)
 			}
 			touched = true
 			// Shrink between chunks — the chunk-granular preemption point.
@@ -856,7 +865,7 @@ func (j *Job) runElastic(home *Scheduler, sub int) {
 				}
 			}
 		}
-		if reducing && touched {
+		if reducing && !ordered && touched {
 			j.redMu.Lock()
 			j.acc = j.req.Combine(j.acc, acc)
 			j.redMu.Unlock()
@@ -885,7 +894,8 @@ func (j *Job) runElastic(home *Scheduler, sub int) {
 		}
 		// Lost the race to peel: every other participant left while this one
 		// was folding, so it is now the job's only worker and must keep
-		// going (with a fresh partial; arrival-order folding permits it).
+		// going (with a fresh partial; arrival-order folding permits it, and
+		// an ordered reduction keeps one partial per chunk anyway).
 	}
 }
 
@@ -898,24 +908,17 @@ func (j *Job) underPressure(home *Scheduler) bool {
 	return home != j.s && j.s != nil && j.s.depth.Load() > 0
 }
 
-// assignment is the work descriptor handed to one worker: its sub-team index
-// and, for rigid jobs, the sub-team size and join half-barrier. Assignments
-// travel by value through the per-worker mailbox channels — the whole
-// descriptor is a few words, so handing one off allocates nothing.
+// assignment is the work descriptor handed to one worker: the job and its
+// dense sub-team index. Assignments travel by value through the per-worker
+// mailbox channels — two words, so handing one off allocates nothing.
 type assignment struct {
 	job *Job
 	sub int
-	// k and bar describe a rigid sub-team; bar is nil when k == 1. Elastic
-	// assignments have k == 0.
-	k   int
-	bar barrier.HalfPair
-	// elastic routes the worker through chunk self-scheduling.
-	elastic bool
 }
 
 // run executes this worker's share of the job and participates in the join
 // wave. It is called on a worker of scheduler home — normally the job's own
-// scheduler, but a shard lending workers cross-shard executes foreign elastic
+// scheduler, but a shard lending workers cross-shard executes foreign
 // assignments too.
 func (a *assignment) run(home *Scheduler) {
 	j := a.job
@@ -930,42 +933,7 @@ func (a *assignment) run(home *Scheduler) {
 		w := j.tr.WaveStart(sh, home != j.s)
 		defer j.tr.WaveEnd(w)
 	}
-	if a.elastic {
-		j.runElastic(home, a.sub)
-		return
-	}
-	r := iterspace.Block(j.req.N, a.k, a.sub)
-	if j.req.RBody != nil {
-		acc := j.req.Identity
-		if !r.Empty() {
-			acc = j.req.RBody(a.sub, r.Begin, r.End, acc)
-		}
-		j.partials[a.sub].v = acc
-	} else if !r.Empty() {
-		j.req.Body(a.sub, r.Begin, r.End)
-	}
-	if a.k == 1 {
-		j.complete()
-		return
-	}
-	// Join wave: non-root sub-workers announce arrival and return to the
-	// idle pool without waiting for the rest of the sub-team (the half the
-	// half-barrier keeps); the sub-root collects arrivals in sub-worker order,
-	// folding reduction views as they arrive.
-	a.bar.JoinCombine(a.sub, j.combineInto())
-	if a.sub == 0 {
-		j.complete()
-	}
-}
-
-// combineInto returns the join-wave view fold for reducing jobs, or nil.
-func (j *Job) combineInto() func(into, from int) {
-	if j.req.RBody == nil {
-		return nil
-	}
-	return func(into, from int) {
-		j.partials[into].v = j.req.Combine(j.partials[into].v, j.partials[from].v)
-	}
+	j.runElastic(home, a.sub)
 }
 
 // addDependent registers d as a dependent of j, or reports that j is already

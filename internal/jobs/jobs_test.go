@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"loopsched/internal/iterspace"
 	"loopsched/internal/spin"
 	"loopsched/internal/stats"
 )
@@ -284,60 +283,6 @@ func TestWorkerPartitionCorrectness(t *testing.T) {
 			}
 			if next != n {
 				t.Errorf("job %d: covered [0,%d) of [0,%d)", g, next, n)
-			}
-		}(g)
-	}
-	wg.Wait()
-}
-
-func TestRigidPartitionMatchesStaticBlocks(t *testing.T) {
-	// With elasticity disabled the pre-elastic contract still holds: each
-	// job's shares are exactly the static block partition for its molded
-	// team size.
-	s := testScheduler(t, 4, Config{DisableElastic: true})
-	const jobs = 8
-	type share struct{ sub, lo, hi int }
-	var wg sync.WaitGroup
-	for g := 0; g < jobs; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			n := 256 + 37*g
-			var mu sync.Mutex
-			var shares []share
-			j, err := s.Submit(Request{N: n, Body: func(w, lo, hi int) {
-				mu.Lock()
-				shares = append(shares, share{w, lo, hi})
-				mu.Unlock()
-			}})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if _, err := j.Wait(); err != nil {
-				t.Error(err)
-				return
-			}
-			k := j.Workers()
-			if k < 1 || k > s.P() {
-				t.Errorf("job %d: molded onto %d workers", g, k)
-				return
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			covered := 0
-			for _, sh := range shares {
-				if sh.sub < 0 || sh.sub >= k {
-					t.Errorf("job %d: sub-worker %d out of range [0,%d)", g, sh.sub, k)
-				}
-				want := iterspace.Block(n, k, sh.sub)
-				if sh.lo != want.Begin || sh.hi != want.End {
-					t.Errorf("job %d: sub %d ran [%d,%d), want %v", g, sh.sub, sh.lo, sh.hi, want)
-				}
-				covered += sh.hi - sh.lo
-			}
-			if covered != n {
-				t.Errorf("job %d: covered %d of %d iterations", g, covered, n)
 			}
 		}(g)
 	}

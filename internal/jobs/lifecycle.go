@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"loopsched/internal/barrier"
 	"loopsched/internal/trace"
 )
 
@@ -59,10 +58,7 @@ func (s *Scheduler) completeInline(j *Job, from State) {
 		j.state.Store(int32(Running))
 	}
 	j.started = time.Now()
-	if j.req.RBody != nil {
-		j.ensurePartials(1)
-		j.partials[0].v = j.req.Identity
-	}
+	j.acc = j.req.Identity
 	j.tr.Event(trace.EvAdmitted, s.cfg.shard, 0, "")
 	j.tr.Event(trace.EvDispatched, s.cfg.shard, 0, "degenerate")
 	j.complete()
@@ -78,70 +74,38 @@ func (s *Scheduler) admit(j *Job, idle []int) []int {
 		return idle
 	}
 	s.leaveQueue()
-	want := s.teamSize(j, int(s.depth.Load()))
-	k := len(idle)
-	if k > want {
-		k = want
-	}
-	elastic := s.elasticFor(j)
-	var chunk, maxK int
-	if elastic {
-		chunk = s.chunkFor(j)
-		maxK = s.maxTeam(j, chunk)
-		if k > maxK {
-			k = maxK
-		}
-	}
-	s.releaseWave(j, idle[len(idle)-k:], elastic, chunk, maxK)
+	chunk := s.chunkFor(j)
+	maxK := s.maxTeam(j, chunk)
+	k := min(len(idle), s.teamSize(j, int(s.depth.Load())), maxK)
+	s.releaseWave(j, idle[len(idle)-k:], chunk, maxK)
 	return idle[:len(idle)-k]
 }
 
 // admitDirect is the submit fast path's admit edge. The job is not yet
 // published (Submit has not returned), so no Cancel can race it: a plain
 // store suffices where the dispatcher's admit needs a CAS.
-func (s *Scheduler) admitDirect(j *Job, ids []int, elastic bool, chunk, maxK int) {
+func (s *Scheduler) admitDirect(j *Job, ids []int, chunk, maxK int) {
 	if j.tr != nil {
 		j.tr.SetOwner(j)
 		j.tr.Event(trace.EvAdmitted, s.cfg.shard, 0, "direct")
 	}
 	j.state.Store(int32(Running))
-	s.releaseWave(j, ids, elastic, chunk, maxK)
+	s.releaseWave(j, ids, chunk, maxK)
 }
 
 // releaseWave performs the fork side of both admit edges on the given
 // workers: one buffered value send per worker, never waiting for the
 // sub-team to assemble.
-func (s *Scheduler) releaseWave(j *Job, ids []int, elastic bool, chunk, maxK int) {
+func (s *Scheduler) releaseWave(j *Job, ids []int, chunk, maxK int) {
 	k := len(ids)
-	var bar barrier.HalfPair
-	if elastic {
-		j.initElastic(k, chunk, maxK)
-	} else {
-		j.workers.Store(int32(k))
-		if j.req.RBody != nil {
-			j.ensurePartials(k)
-		}
-		if k > 1 {
-			if j.bar == nil || j.barK != k {
-				j.bar = barrier.NewCentralized(k)
-				j.barK = k
-			}
-			bar = j.bar
-		}
-	}
+	j.initElastic(k, chunk, maxK)
 	j.started = time.Now()
 	s.running.Add(1)
 	j.tr.Event(trace.EvDispatched, s.cfg.shard, k, "")
-	for sub := 0; sub < k; sub++ {
-		a := assignment{job: j, sub: sub, elastic: elastic}
-		if elastic {
-			if slot, ok := j.popSlot(); ok {
-				a.sub = slot
-			}
-		} else {
-			a.k, a.bar = k, bar
-		}
-		s.assign[ids[sub]] <- a
+	for _, id := range ids {
+		// k <= maxK, so the stack always has a free sub id here.
+		sub, _ := j.popSlot()
+		s.assign[id] <- assignment{job: j, sub: sub}
 	}
 	// Publish the job for growth and cross-shard lending only after the
 	// release wave: growers drain the slot stack concurrently, and
@@ -150,45 +114,39 @@ func (s *Scheduler) releaseWave(j *Job, ids []int, elastic bool, chunk, maxK int
 	// the entry under growMu only after active hit 0, so an entry is added
 	// only while a participant remains — a finished job left behind could be
 	// Released and recycled under the dispatcher's preemption scan.
-	if elastic {
-		s.growMu.Lock()
-		if j.active.Load() > 0 {
-			s.growSet[j] = struct{}{}
-			s.growables.Store(int32(len(s.growSet)))
-		}
-		s.growMu.Unlock()
+	s.growMu.Lock()
+	if j.active.Load() > 0 {
+		s.growSet[j] = struct{}{}
+		s.growables.Store(int32(len(s.growSet)))
 	}
+	s.growMu.Unlock()
 }
 
 // leaveRunning is the common step of both edges out of Running (complete and
 // park): the job leaves the grow registry, where a grower or sibling lender
-// must not find a finished or parked job, and the running gauge, which
-// degenerate jobs never entered.
+// must not find a finished or parked job, and the running gauge. A
+// degenerate job entered neither.
 func (s *Scheduler) leaveRunning(j *Job) {
-	if j.elastic {
-		s.growMu.Lock()
-		delete(s.growSet, j)
-		s.growables.Store(int32(len(s.growSet)))
-		s.growMu.Unlock()
+	if j.workers.Load() == 0 {
+		return
 	}
-	if j.workers.Load() > 0 {
-		s.running.Add(-1)
-	}
+	s.growMu.Lock()
+	delete(s.growSet, j)
+	s.growables.Store(int32(len(s.growSet)))
+	s.growMu.Unlock()
+	s.running.Add(-1)
 }
 
-// complete is the Running → Done edge, taken exactly once: by the rigid
-// sub-root, by the last elastic participant to leave, or by completeInline.
+// complete is the Running → Done edge, taken exactly once: by the last
+// participant to leave, or by completeInline.
 // Dependents are released before waiters wake: once a waiter wakes, the
 // owner may Release the job, and the recycler's field reset would race a
 // late dependent drain. A dependent therefore never starts before every
 // iteration of this job has executed and folded.
 func (j *Job) complete() {
 	if j.req.RBody != nil {
-		if j.elastic {
-			j.result = j.acc
-		} else {
-			j.result = j.partials[0].v
-		}
+		j.foldSlots()
+		j.result = j.acc
 	}
 	j.state.Store(int32(Done))
 	if s := j.s; s != nil {
@@ -353,10 +311,12 @@ func (j *Job) suspendQueued(s *Scheduler) bool {
 }
 
 // parkSuspended is the Running → Suspended edge, taken by the last
-// quiescing participant (active hit 0): every participant has folded its
-// partial and left, so the claim watermark and the shared accumulator are
-// exact. A suspension that raced the cursor's exhaustion completes the job
-// instead — every iteration already executed.
+// quiescing participant (active hit 0): every participant has folded or
+// stored its partials and left, so the claim watermark and the accumulator
+// are exact. An ordered reduction folds the slots of the chunks claimed this
+// stint, which end exactly at the watermark. A suspension that raced the
+// cursor's exhaustion completes the job instead — every iteration already
+// executed.
 func (j *Job) parkSuspended() {
 	if j.cursor.Remaining() == 0 {
 		j.suspendReq.Store(false)
@@ -364,7 +324,12 @@ func (j *Job) parkSuspended() {
 		return
 	}
 	now := time.Now()
-	j.resumeFrom = j.cursor.Claimed()
+	claimed := j.cursor.Claimed()
+	if j.ordered() {
+		j.slots = j.slots[:(claimed-j.resumeFrom)/j.chunk]
+	}
+	j.foldSlots()
+	j.resumeFrom = claimed
 	j.resumeAcc = j.acc
 	j.ranNanos.Add(int64(now.Sub(j.started)))
 	j.suspendedAt.Store(now.UnixNano())
@@ -448,15 +413,15 @@ func (s *Scheduler) freeJob(j *Job) {
 	j.waitMu.Unlock()
 	j.waitCond.Broadcast()
 	// Field reset: everything generation-specific, keeping the recyclable
-	// capacity (partials, freeSubs, the cached barrier, the cond wiring).
+	// capacity (slots, freeSubs, the cond wiring).
 	j.req = Request{}
 	j.state.Store(int32(Pending))
 	j.result, j.err = 0, nil
 	j.workers.Store(0)
-	j.elastic = false
 	j.active.Store(0)
 	j.maxK = 0
 	j.acc = 0
+	j.slots = j.slots[:0]
 	j.tenant, j.prio, j.seq = "", 0, 0
 	j.deadline = time.Time{}
 	j.shrinkTo.Store(0)
@@ -464,7 +429,7 @@ func (s *Scheduler) freeJob(j *Job) {
 	j.suspendedAt.Store(0)
 	j.suspendedNanos.Store(0)
 	j.ranNanos.Store(0)
-	j.resumeFrom, j.resumeAcc, j.ckptSeed = 0, 0, 0
+	j.resumeFrom, j.resumeAcc, j.chunk, j.ckptSeed = 0, 0, 0, 0
 	j.ckpt = nil
 	j.submitted, j.started = time.Time{}, time.Time{}
 	j.s, j.home, j.pool = nil, nil, nil

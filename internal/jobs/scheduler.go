@@ -24,15 +24,10 @@ type Config struct {
 	// MaxWorkersPerJob caps every job's sub-team size; <= 0 means no cap
 	// (a lone job may use the whole team).
 	MaxWorkersPerJob int
-	// DefaultGrain is the self-scheduling chunk size used by elastic jobs
-	// that do not set Request.Grain; <= 0 selects a per-job heuristic
-	// (roughly 8 chunks per team member).
+	// DefaultGrain is the self-scheduling chunk size used by jobs that do
+	// not set Request.Grain; <= 0 selects a per-job heuristic (roughly 8
+	// chunks per team member).
 	DefaultGrain int
-	// DisableElastic freezes every sub-team at admission and partitions each
-	// job statically — the paper's rigid teams. It exists for comparison
-	// (the convoy and straggler benchmarks measure elastic against it) and
-	// for callers that require the static-block body contract.
-	DisableElastic bool
 	// TenantWeights pre-registers tenant accounts with fair-share weights
 	// (values < 1 are clamped to 1). Tenants not listed here are created on
 	// first use with weight 1; weights can be changed at runtime with
@@ -232,13 +227,13 @@ type Scheduler struct {
 	blockedHeld int
 	queuedHeld  int
 
-	// growSet is the registry of running elastic jobs: the dispatcher grows
+	// growSet is the registry of running jobs: the dispatcher grows
 	// and preempts over it, and sibling shards read it to find jobs worth
 	// lending workers to. Lock order: growMu before fq.mu.
 	growMu  sync.Mutex
 	growSet map[*Job]struct{}
 	// growables mirrors len(growSet) (updated under growMu) so parkWorker
-	// can tell lock-free whether the dispatcher has running elastic jobs to
+	// can tell lock-free whether the dispatcher has running jobs to
 	// grow a freed worker onto, or can stay parked.
 	growables atomic.Int32
 	// runningScratch/sharesScratch are preemptForWaiting's reusable maps
@@ -610,8 +605,8 @@ func (s *Scheduler) traceShed(req *Request, tenant, detail string) {
 }
 
 // directTeamMax caps how many workers a fast-path submit hands off inline
-// (the pop buffer lives on the submitter's stack). Elastic jobs wake the
-// dispatcher to grow past it; rigid jobs wanting more take the queued path.
+// (the pop buffer lives on the submitter's stack). A job wanting more wakes
+// the dispatcher to grow past it.
 const directTeamMax = 8
 
 // tryDirectAdmit is the submit fast path: when nothing is queued and workers
@@ -623,30 +618,9 @@ func (s *Scheduler) tryDirectAdmit(j *Job) bool {
 	if s.depth.Load() != 0 {
 		return false
 	}
-	elastic := s.elasticFor(j)
-	var chunk, maxK, want int
-	if elastic {
-		chunk = s.chunkFor(j)
-		maxK = s.maxTeam(j, chunk)
-		want = maxK
-		if want > s.p {
-			want = s.p
-		}
-	} else {
-		grain := j.req.Grain
-		if grain <= 0 {
-			grain = 1
-		}
-		want = s.capTeam(j, grain)
-	}
-	if want > directTeamMax {
-		if !elastic {
-			// A rigid sub-team is molded once; do not silently cap it at the
-			// buffer size when the dispatcher would assemble a larger one.
-			return false
-		}
-		want = directTeamMax
-	}
+	chunk := s.chunkFor(j)
+	maxK := s.maxTeam(j, chunk)
+	want := min(maxK, s.p, directTeamMax)
 	var buf [directTeamMax]int
 	s.idleMu.Lock()
 	n := len(s.idleIDs)
@@ -664,8 +638,8 @@ func (s *Scheduler) tryDirectAdmit(j *Job) bool {
 	s.idleMu.Unlock()
 	s.submitted.Add(1)
 	s.fq.account(j.tenant).submitted.Add(1)
-	s.admitDirect(j, buf[:n], elastic, chunk, maxK)
-	if elastic && n < maxK {
+	s.admitDirect(j, buf[:n], chunk, maxK)
+	if n < maxK {
 		// Under-provisioned: let the dispatcher top the team up (grow) once
 		// more workers park. A full team (n == maxK) needs no wake — growth
 		// is capped at maxK, and a participant that later peels re-rings
@@ -864,7 +838,6 @@ func (s *Scheduler) initCheckpoint(j *Job, req *Request) {
 	c.Label = req.Label
 	c.Tenant, c.Priority, c.Deadline = j.tenant, j.prio, j.deadline
 	c.N = req.N
-	c.Commutative = req.Commutative
 	// Persist dependency edges as upstream trace ids, so recovery can rebuild
 	// the graph among jobs that were all unfinished at the crash.
 	if len(req.After) > 0 {
@@ -875,13 +848,13 @@ func (s *Scheduler) initCheckpoint(j *Job, req *Request) {
 			}
 		}
 	}
-	if c.Cursor > 0 && req.RBody != nil && req.Combine != nil && req.Commutative && !s.cfg.DisableElastic {
+	if c.Cursor > 0 && req.RBody != nil && req.Combine != nil {
 		// Recovered mid-space: resume the cursor and the partial fold.
 		j.resumeFrom, j.resumeAcc = c.Cursor, c.Acc
 	} else {
-		// Fresh submission, or a recovered job whose reduction cannot resume
-		// mid-space (rigid teams, ordered reducers, plain bodies): restart
-		// from iteration 0 and let the checkpoint reflect that.
+		// Fresh submission, or a recovered plain body, whose effects below
+		// the cursor died with the process: restart from iteration 0 and let
+		// the checkpoint reflect that.
 		c.Cursor, c.Acc = 0, 0
 	}
 	j.ckptSeed = j.resumeFrom
@@ -964,9 +937,9 @@ func (s *Scheduler) releaseQueueSlot() {
 // scheduler-wide and per-job caps, by the job's size (never fewer than Grain
 // iterations per worker), and by the queue pressure — with waiting jobs
 // behind this one, each admitted job takes only its fair share of the team
-// so concurrent tenants run side by side instead of serialising. Elastic
-// jobs later grow past this initial size (up to their caps) when workers
-// idle, and shrink below it under queue pressure.
+// so concurrent tenants run side by side instead of serialising. Jobs later
+// grow past this initial size (up to their caps) when workers idle, and
+// shrink below it under queue pressure.
 func (s *Scheduler) teamSize(j *Job, waiting int) int {
 	grain := j.req.Grain
 	if grain <= 0 {
@@ -991,12 +964,7 @@ func (s *Scheduler) capTeam(j *Job, grain int) int {
 }
 
 func (s *Scheduler) capTeamBase(k int, j *Job, grain int) int {
-	if s.cfg.MaxWorkersPerJob > 0 && k > s.cfg.MaxWorkersPerJob {
-		k = s.cfg.MaxWorkersPerJob
-	}
-	if j.req.MaxWorkers > 0 && k > j.req.MaxWorkers {
-		k = j.req.MaxWorkers
-	}
+	k = s.capWorkers(k, j)
 	// Size by the remaining work: a resumed job's team is molded for the
 	// unclaimed tail of its space, not the iterations already executed.
 	if bySize := (j.req.N - j.resumeFrom + grain - 1) / grain; k > bySize {
@@ -1008,44 +976,61 @@ func (s *Scheduler) capTeamBase(k int, j *Job, grain int) int {
 	return k
 }
 
-// chunkFor picks the self-scheduling chunk size of an elastic job: the
-// request's Grain, the scheduler default, or a heuristic targeting ~8 chunks
-// per team member (enough slack for balancing and peeling without measurable
-// claim traffic).
+// capWorkers clamps a base worker count by the scheduler-wide and per-job
+// caps.
+func (s *Scheduler) capWorkers(k int, j *Job) int {
+	if s.cfg.MaxWorkersPerJob > 0 && k > s.cfg.MaxWorkersPerJob {
+		k = s.cfg.MaxWorkersPerJob
+	}
+	if j.req.MaxWorkers > 0 && k > j.req.MaxWorkers {
+		k = j.req.MaxWorkers
+	}
+	return k
+}
+
+// orderedSlotsPerWorker bounds an ordered reduction's chunk partials: its
+// chunk is coarsened until the space has at most this many chunks per
+// worker the job could ever run on, so the slots stay O(P).
+const orderedSlotsPerWorker = 16
+
+// chunkFor picks the self-scheduling chunk size of a job: the one fixed at
+// its first admission, so every stint of a suspended job splits the space
+// the same way; else the request's Grain, the scheduler default, or a
+// heuristic targeting ~8 chunks per team member (enough slack for balancing
+// and peeling without measurable claim traffic). An ordered reduction's
+// chunk is then coarsened to orderedSlotsPerWorker chunks per worker.
 func (s *Scheduler) chunkFor(j *Job) int {
-	if j.req.Grain > 0 {
-		return j.req.Grain
+	if j.chunk > 0 {
+		return j.chunk
 	}
-	if s.cfg.DefaultGrain > 0 {
-		return s.cfg.DefaultGrain
+	chunk := j.req.Grain
+	if chunk <= 0 {
+		chunk = s.cfg.DefaultGrain
 	}
-	chunk := j.req.N / (8 * s.p)
-	if chunk < 1 {
-		chunk = 1
+	if chunk <= 0 {
+		chunk = max(j.req.N/(8*s.p), 1)
+	}
+	if j.ordered() {
+		slots := orderedSlotsPerWorker * s.capWorkers(s.teamBase(), j)
+		chunk = max(chunk, (j.req.N+slots-1)/slots)
 	}
 	return chunk
 }
 
-// maxTeam is the hard participant cap of an elastic job: the shared cap
-// policy evaluated at the job's actual chunk size. In a sharded pool the
-// base is the whole pool's worker count, so sibling shards can lend workers
-// past the home shard's own size.
-func (s *Scheduler) maxTeam(j *Job, chunk int) int {
-	base := s.p
-	if s.cfg.hooks != nil && s.cfg.hooks.totalP > base {
-		base = s.cfg.hooks.totalP
+// teamBase is the worker count a job's participant cap starts from. In a
+// sharded pool it is the whole pool's worker count, so sibling shards can
+// lend workers past the home shard's own size.
+func (s *Scheduler) teamBase() int {
+	if s.cfg.hooks != nil && s.cfg.hooks.totalP > s.p {
+		return s.cfg.hooks.totalP
 	}
-	return s.capTeamBase(base, j, chunk)
+	return s.p
 }
 
-// elasticFor reports whether a job takes the elastic path. Non-commutative
-// reductions keep the rigid path: their fold order (sub-worker order over
-// static blocks) is part of the result.
-func (s *Scheduler) elasticFor(j *Job) bool {
-	if s.cfg.DisableElastic {
-		return false
-	}
-	return j.req.RBody == nil || j.req.Commutative
+// maxTeam is the hard participant cap of a job: the shared cap policy
+// evaluated at the job's actual chunk size, from teamBase.
+func (s *Scheduler) maxTeam(j *Job, chunk int) int {
+	return s.capTeamBase(s.teamBase(), j, chunk)
 }
 
 // dispatch is the arbitration loop. It no longer sits on an intake channel —
@@ -1299,7 +1284,7 @@ func (s *Scheduler) grow(idle []int) []int {
 			idle = idle[:len(idle)-1]
 			s.grown.Add(1)
 			j.tr.Event(trace.EvGrown, s.cfg.shard, int(j.active.Load()), "")
-			s.assign[id] <- assignment{job: j, sub: sub, elastic: true}
+			s.assign[id] <- assignment{job: j, sub: sub}
 			progressed = true
 		}
 		if !progressed {
@@ -1323,7 +1308,7 @@ func (s *Scheduler) lendTo(j *Job, idle []int) []int {
 		idle = idle[:len(idle)-1]
 		s.lent.Add(1)
 		j.tr.Event(trace.EvLent, s.cfg.shard, int(j.active.Load()), "")
-		s.assign[id] <- assignment{job: j, sub: sub, elastic: true}
+		s.assign[id] <- assignment{job: j, sub: sub}
 	}
 	return idle
 }

@@ -104,7 +104,7 @@ type jobControlResponse struct {
 
 // handleSuspend parks a queued or running job at its next chunk-wave
 // boundary with its progress checkpointed. 409 when the job refuses
-// (blocked, terminal, or rigid mid-run).
+// (blocked or terminal).
 func (s *Server) handleSuspend(w http.ResponseWriter, r *http.Request) {
 	j, id, ok := s.liveJob(w, r)
 	if !ok {

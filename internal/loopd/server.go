@@ -51,8 +51,6 @@ type Config struct {
 	// DefaultGrain is the self-scheduling chunk size for jobs that don't set
 	// grain; <= 0 selects the per-job heuristic.
 	DefaultGrain int
-	// DisableElastic freezes sub-teams at admission (rigid static blocks).
-	DisableElastic bool
 	// TenantWeights pre-registers tenant accounts with fair-share weights;
 	// unknown tenants are created on first use with weight 1.
 	TenantWeights map[string]int
@@ -173,7 +171,6 @@ func New(cfg Config) (*Server, error) {
 		MaxWorkersPerJob: cfg.MaxWorkersPerJob,
 		QueueDepth:       cfg.QueueDepth,
 		DefaultGrain:     cfg.DefaultGrain,
-		DisableElastic:   cfg.DisableElastic,
 		TenantWeights:    cfg.TenantWeights,
 		DisableFair:      cfg.DisableFair,
 		LockOSThread:     cfg.LockOSThread,

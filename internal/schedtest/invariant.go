@@ -229,11 +229,10 @@ func runOneOp(t *testing.T, runner JobRunner, rng *rand.Rand, opt InvariantOptio
 				return acc
 			},
 		}
-	default: // ordered reduction: the "last" fold must see the final block
+	default: // ordered reduction: exact, and wrong under any reordering
 		req = jobs.Request{
-			N: n, Grain: grain, MaxWorkers: maxWorkers, Identity: -1,
-			Combine: func(a, b float64) float64 { return b },
-			RBody:   func(w, lo, hi int, acc float64) float64 { return float64(hi) },
+			N: n, Grain: grain, MaxWorkers: maxWorkers,
+			Identity: AffineIdentity, Combine: AffineCombine, RBody: AffineBody,
 		}
 	}
 
@@ -279,12 +278,8 @@ func runOneOp(t *testing.T, runner JobRunner, rng *rand.Rand, opt InvariantOptio
 			t.Errorf("tenant %d op %d (seed %d): sum over %d = %v, want %v", tnt, op, opt.Seed, n, v, want)
 		}
 	default:
-		want := float64(n)
-		if n == 0 {
-			want = -1 // identity: the loop never ran
-		}
-		if v != want {
-			t.Errorf("tenant %d op %d (seed %d): ordered 'last' fold over %d = %v, want %v (join-wave order violated)",
+		if want := AffineBody(0, 0, n, AffineIdentity); v != want {
+			t.Errorf("tenant %d op %d (seed %d): ordered fold over %d = %v, want %v (join-wave order violated)",
 				tnt, op, opt.Seed, n, v, want)
 		}
 	}
@@ -462,7 +457,7 @@ func runDepOp(t *testing.T, runner JobRunner, rng *rand.Rand, opt InvariantOptio
 }
 
 // suspendResumeChurn drives one suspend/resume cycle against a live job. A
-// refusal (terminal, blocked, rigid mid-run) is a legal outcome and ends the
+// refusal (terminal or blocked) is a legal outcome and ends the
 // op; after an accepted suspend the job MUST be resumed — a parked job never
 // completes on its own — so the helper polls until the resume lands or the
 // job reaches a terminal state (a running job parks only at its next
@@ -494,4 +489,45 @@ func waitDeadline(j *jobs.Job, d time.Duration) (float64, error) {
 	case <-time.After(d):
 		return 0, errors.New("schedtest: job did not complete within the deadline (join wave lost?)")
 	}
+}
+
+// The affine fold is an associative, non-commutative reduction on exact
+// integers: iteration i contributes the map x → a_i·x + b_i mod
+// affinePrime, and Combine composes maps (left operand applied first). A map
+// packs into one float64 as a·affinePrime + b, exactly, since
+// affinePrime² < 2^53. Any reordering of the partials changes the result,
+// and no rounding hides it, so the result is checked exactly.
+const affinePrime = 1_000_003
+
+// AffineIdentity is the identity map x → x, packed.
+const AffineIdentity = float64(affinePrime) // a = 1, b = 0
+
+func affineUnpack(f float64) (a, b int64) {
+	v := int64(f)
+	return v / affinePrime, v % affinePrime
+}
+
+func affinePack(a, b int64) float64 { return float64(a*affinePrime + b) }
+
+// affineThen composes (a, b) then (c, d): x → c·(a·x + b) + d.
+func affineThen(a, b, c, d int64) (int64, int64) {
+	return c * a % affinePrime, (c*b + d) % affinePrime
+}
+
+// AffineCombine composes two packed maps, applying x first.
+func AffineCombine(x, y float64) float64 {
+	a, b := affineUnpack(x)
+	c, d := affineUnpack(y)
+	return affinePack(affineThen(a, b, c, d))
+}
+
+// AffineBody is the reducing body: it composes acc with the maps of
+// iterations lo..hi-1, in order. Over [0, n) from AffineIdentity it is also
+// the sequential reference.
+func AffineBody(_, lo, hi int, acc float64) float64 {
+	a, b := affineUnpack(acc)
+	for i := int64(lo); i < int64(hi); i++ {
+		a, b = affineThen(a, b, 1+i*7919%(affinePrime-1), (i*104729+17)%affinePrime)
+	}
+	return affinePack(a, b)
 }

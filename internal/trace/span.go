@@ -128,9 +128,9 @@ const (
 	maxWavesPerJob  = 256
 )
 
-// Wave is one participant's chunk-wave on an elastic job — the stint from
-// joining the sub-team (release wave, growth, or a cross-shard loan) to
-// leaving it (peel or join wave). Rigid jobs record one wave per sub-worker.
+// Wave is one participant's chunk-wave on a job — the stint from joining the
+// sub-team (release wave, growth, or a cross-shard loan) to leaving it (peel,
+// suspension park or join wave).
 type Wave struct {
 	// Shard is the shard owning the participating worker — for a lent worker,
 	// the lender's shard, not the job's.

@@ -32,9 +32,8 @@
 // bench_test.go; library users only need this package. A Pool always runs
 // the paper's tree half-barrier: the ablations (full barriers, the
 // centralized barrier, tree fan-outs) run through internal/core in
-// cmd/burden, and the async jobs runtime's knobs (grain, rigid teams,
-// shards, overload protection) are jobs.Config fields, set from loopd's
-// flags.
+// cmd/burden, and the async jobs runtime's knobs (grain, shards, overload
+// protection) are jobs.Config fields, set from loopd's flags.
 package loopsched
 
 import (
@@ -402,8 +401,8 @@ func (j *Job) Cancel() bool {
 // Suspend parks the job with its progress checkpointed: a queued job parks
 // instantly, a running one at its next chunk-wave boundary (no participant
 // is ever interrupted mid-chunk). Reports whether the pause was accepted —
-// false for terminal, blocked, or rigid mid-run jobs; true (idempotently)
-// for one already suspended. A suspended job holds no workers and its Wait
+// false for terminal or blocked jobs; true (idempotently) for one already
+// suspended. A suspended job holds no workers and its Wait
 // keeps blocking until it is resumed or canceled.
 func (j *Job) Suspend() bool {
 	if j.inner == nil {
@@ -539,10 +538,11 @@ type JobOptions struct {
 	// 8 chunks per sub-team member).
 	Grain int
 	// Commutative declares a reducing job's combine commutative (and its
-	// identity a true identity), letting the runtime execute it elastically:
-	// sub-workers self-schedule chunks and partials are folded in arrival
-	// order. Leave it false for ordered (non-commutative) reductions, which
-	// keep the rigid static-block path and worker-order folding.
+	// identity a true identity), letting each sub-worker fold all its chunks
+	// into one partial and the join wave fold those in arrival order. Leave
+	// it false for ordered (non-commutative) reductions: each chunk's
+	// partial is then kept and folded in iteration order, so the result
+	// depends only on n and the chunk size.
 	Commutative bool
 	// Tenant names the account the job is charged to; the empty string
 	// selects the shared "default" account. Register weights with
@@ -605,16 +605,16 @@ func (p *Pool) SubmitFor(n int, body func(worker, low, high int)) *Job {
 	return p.submit(JobOptions{}, jobs.Request{N: n, Body: body})
 }
 
-// SubmitReduce is the asynchronous ReduceFloat64: per-sub-worker partials
-// are folded — in iteration order, inside the job's join wave — with
-// combine. The result is available from Job.Result.
+// SubmitReduce is the asynchronous ReduceFloat64: per-chunk partials are
+// folded — in iteration order, inside the job's join wave — with combine.
+// The result is available from Job.Result.
 func (p *Pool) SubmitReduce(n int, identity float64, combine func(a, b float64) float64, body func(worker, low, high int, acc float64) float64) *Job {
 	return p.SubmitReduceOpts(n, JobOptions{}, identity, combine, body)
 }
 
 // SubmitReduceOpts is SubmitReduce with per-job tuning options. Setting
-// o.Commutative allows the runtime to run the reduction elastically (chunked
-// self-scheduling, partials folded in arrival order); leave it false when
+// o.Commutative lets the runtime fold one partial per sub-worker in arrival
+// order instead of one per chunk in iteration order; leave it false when
 // the combine is order-sensitive.
 func (p *Pool) SubmitReduceOpts(n int, o JobOptions, identity float64, combine func(a, b float64) float64, body func(worker, low, high int, acc float64) float64) *Job {
 	return p.submit(o, jobs.Request{N: n, RBody: body, Identity: identity, Combine: combine})
@@ -663,8 +663,8 @@ type Stage struct {
 type ReduceStage struct {
 	Identity float64
 	Combine  func(a, b float64) float64
-	// Commutative declares Combine commutative, enabling elastic execution
-	// (see JobOptions.Commutative).
+	// Commutative declares Combine commutative, allowing arrival-order
+	// folding (see JobOptions.Commutative).
 	Commutative bool
 	Body        func(worker, low, high int, acc float64) float64
 }
