@@ -161,6 +161,37 @@ func BenchmarkFigure3_Linreg(b *testing.B) {
 	}
 }
 
+// BenchmarkImbalancedLoop runs one coarse loop whose per-iteration cost
+// grows with the index (1 + i/256 inner steps over 2^15 iterations). Static
+// blocks leave the early workers idle while the last block finishes; this is
+// the load the hybrid's work-stealing policy exists for.
+func BenchmarkImbalancedLoop(b *testing.B) {
+	const n = 1 << 15
+	body := func(w, begin, end int) {
+		var acc uint64
+		for i := begin; i < end; i++ {
+			for j := 0; j <= i/256; j++ {
+				acc = acc*6364136223846793005 + uint64(j)
+			}
+		}
+		workload.Consume(acc)
+	}
+	for _, name := range []string{"fine-grain-tree", "hybrid", "cilk", "openmp-dynamic"} {
+		b.Run(name, func(b *testing.B) {
+			s, err := bench.NewScheduler(name, benchWorkers())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			s.For(n, body) // warm up the team
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.For(n, body)
+			}
+		})
+	}
+}
+
 // BenchmarkAblation_BarrierPattern isolates the paper's central design
 // choice: half-barrier vs. full-barrier and tree vs. centralized, on an
 // otherwise identical scheduler, running an empty fine-grain loop so the

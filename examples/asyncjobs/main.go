@@ -1,19 +1,22 @@
 // Command asyncjobs demonstrates the asynchronous multi-job API: many
-// goroutines submit parallel loops to one shared pool, fan out a group and
-// read a reduction result from a job handle.
+// goroutines submit parallel loops to one shared pool, fan out a group,
+// read a reduction result from a job handle and cancel a queued job. It
+// exits non-zero if any result differs from its expectation.
 package main
 
 import (
 	"fmt"
+	"os"
 	"sync"
+	"sync/atomic"
 
 	"loopsched"
 )
 
 func main() {
 	pool := loopsched.New(loopsched.Config{})
-	defer pool.Close()
 	fmt.Printf("pool: %v\n", pool)
+	ok := true
 
 	// Concurrent tenants: each goroutine submits its own loop jobs.
 	var wg sync.WaitGroup
@@ -42,8 +45,9 @@ func main() {
 	for tenant := 0; tenant < 4; tenant++ {
 		v, _ := total.Load(tenant)
 		n := 100000 * (tenant + 1)
-		fmt.Printf("tenant %d: sum over [0,%d) = %.0f (want %.0f)\n",
-			tenant, n, v, float64(n)*float64(n-1)/2)
+		want := float64(n) * float64(n-1) / 2
+		fmt.Printf("tenant %d: sum over [0,%d) = %.0f (want %.0f)\n", tenant, n, v, want)
+		ok = ok && v == want
 	}
 
 	// Fan-out/fan-in with a Group.
@@ -58,12 +62,32 @@ func main() {
 	}
 	c, _ := count.Result()
 	fmt.Printf("group: doubled %d elements, counted %.0f\n", len(out), c)
+	ok = ok && c == float64(len(out))
 
-	// Cancellation: a job canceled before it starts never runs.
-	j := pool.Submit(10, func(i int) { fmt.Println("should not print") })
-	if j.Cancel() {
-		fmt.Println("canceled a queued job:", func() error { return j.Wait() }())
-	} else {
-		fmt.Println("job started before cancel; result:", func() error { return j.Wait() }())
+	// Cancellation: a job canceled before it starts never runs. A blocker
+	// job holds every worker first, so the job is still queued when Cancel
+	// comes (on an idle pool, Submit would start it at once).
+	release := make(chan struct{})
+	var held sync.WaitGroup
+	held.Add(pool.Workers())
+	blocker := pool.SubmitOpts(pool.Workers(), loopsched.JobOptions{Grain: 1}, func(i int) {
+		held.Done()
+		<-release
+	})
+	held.Wait()
+	var ran atomic.Bool
+	j := pool.Submit(10, func(i int) { ran.Store(true) })
+	canceled := j.Cancel()
+	close(release)
+	if err := blocker.Wait(); err != nil {
+		panic(err)
+	}
+	fmt.Printf("canceled a queued job: %v, Wait = %v, body ran: %v\n", canceled, j.Wait(), ran.Load())
+	ok = ok && canceled && !ran.Load()
+
+	pool.Close()
+	if !ok {
+		fmt.Println("FAIL: a result differs from its expectation")
+		os.Exit(1)
 	}
 }

@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"loopsched/internal/core"
 )
 
 func init() {
@@ -27,6 +29,12 @@ func TestRegistry(t *testing.T) {
 		s, err := NewScheduler(name, 2)
 		if err != nil {
 			t.Fatalf("NewScheduler(%q): %v", name, err)
+		}
+		if s.Name() != name {
+			t.Errorf("NewScheduler(%q) reports name %q", name, s.Name())
+		}
+		if c, ok := s.(*core.Scheduler); name == "hybrid" && (!ok || !c.Config().Steal) {
+			t.Errorf("hybrid is %T, want a stealing *core.Scheduler", s)
 		}
 		var total atomic.Int64
 		s.For(100, func(w, b, e int) { total.Add(int64(e - b)) })
@@ -136,6 +144,46 @@ func TestWriteTable1(t *testing.T) {
 	md := Table1Markdown(rows)
 	if !strings.Contains(md, "| fine-grain-tree |") {
 		t.Errorf("markdown table malformed:\n%s", md)
+	}
+}
+
+func TestWriteTable1ZeroBurdenRatiosAreNA(t *testing.T) {
+	// A fit clamped to d = 0 on either side of a headline ratio prints n/a,
+	// not -Inf% or 0.0x.
+	rows := []BurdenResult{
+		{Scheduler: "fine-grain-tree", Workers: 2},
+		{Scheduler: "openmp-static", Workers: 2},
+		{Scheduler: "cilk", Workers: 2},
+	}
+	rows[0].Fit.D = 6e-6
+	rows[2].Fit.D = 70e-6
+	rows[2].Fit.DIntercept = 50e-6
+	var buf bytes.Buffer
+	if err := WriteTable1(&buf, rows); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, want := range []string{
+		"OpenMP static: n/a lower burden (fitted d), n/a lower (intercept)",
+		"Cilk: 11.7x lower burden (fitted d), n/a lower (intercept)",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("Table 1 report missing %q:\n%s", want, out)
+		}
+	}
+	rows[0].Fit.D = 0
+	buf.Reset()
+	if err := WriteTable1(&buf, rows); err != nil {
+		t.Fatal(err)
+	}
+	_, ratios, _ := strings.Cut(buf.String(), "\nfine-grain vs")
+	if !strings.Contains(ratios, "Cilk: n/a lower burden (fitted d)") {
+		t.Errorf("zero fine-grain d not reported as n/a:\n%s", ratios)
+	}
+	for _, bad := range []string{"Inf", "NaN", "0.0x"} {
+		if strings.Contains(ratios, bad) {
+			t.Errorf("headline ratios print %q for a zero burden:\n%s", bad, ratios)
+		}
 	}
 }
 

@@ -75,6 +75,10 @@ type CheckpointPhaseResult struct {
 	JobsPerSecond    float64 `json:"jobs_per_second"`
 	CheckpointWrites int64   `json:"checkpoint_writes"`
 	Resumes          int64   `json:"resumes"`
+	// Parked counts the suspend/resume phase's jobs whose suspend parked
+	// them (Resume returned true); a job can finish before its suspend
+	// lands, so Parked may be below the job count.
+	Parked int64 `json:"parked"`
 }
 
 // CheckpointReport is the scenario outcome; the ratios are the metrics
@@ -142,15 +146,17 @@ func runCheckpointPhase(opt CheckpointOptions, store jobs.CheckpointStore, churn
 		}
 		handles[i] = j
 		if churn {
-			// Suspend right on the heels of the submit, where it always
-			// lands: the job is either still pending (parks instantly) or has
-			// just started (parks at its first chunk-wave boundary) — it
-			// cannot have drained all N iterations in the microseconds since
-			// Submit. Suspending later would race the workers: on a wide
-			// machine the fleet finishes faster than a churn loop can walk it.
+			// Suspend right on the heels of the submit. The job is usually
+			// still pending (parks instantly) or just started (parks at its
+			// first chunk-wave boundary), but an idle scheduler admits it
+			// inside Submit, so it can finish first when the submitter is
+			// descheduled. Suspending later would race the workers: on a
+			// wide machine the fleet finishes faster than a churn loop can
+			// walk it.
 			j.Suspend()
 		}
 	}
+	var parked int64
 	if churn {
 		// Resume the whole parked fleet. Resume spins briefly per job: a
 		// suspend posted to a running job only parks it at the next wave
@@ -164,6 +170,7 @@ func runCheckpointPhase(opt CheckpointOptions, store jobs.CheckpointStore, churn
 					runtime.Gosched()
 				}
 			}
+			parked++
 		next:
 		}
 	}
@@ -185,6 +192,7 @@ func runCheckpointPhase(opt CheckpointOptions, store jobs.CheckpointStore, churn
 		JobsPerSecond:    float64(opt.Jobs) / makespan,
 		CheckpointWrites: st.CheckpointWrites,
 		Resumes:          st.ResumedTotal,
+		Parked:           parked,
 	}, nil
 }
 
@@ -292,8 +300,8 @@ func WriteCheckpointBench(w io.Writer, rep CheckpointReport) error {
 	fmt.Fprintf(w, "Checkpoint/resume overhead scenario: %d workers, %d jobs x %d iterations\n",
 		rep.Workers, rep.Jobs, rep.N)
 	row := func(name string, r CheckpointPhaseResult) {
-		fmt.Fprintf(w, "%-16s makespan %8.3fms  %7.0f jobs/s  %5d checkpoint writes  %4d resumes\n",
-			name, r.MakespanSeconds*1e3, r.JobsPerSecond, r.CheckpointWrites, r.Resumes)
+		fmt.Fprintf(w, "%-16s makespan %8.3fms  %7.0f jobs/s  %5d checkpoint writes  %4d resumes  %4d parked\n",
+			name, r.MakespanSeconds*1e3, r.JobsPerSecond, r.CheckpointWrites, r.Resumes, r.Parked)
 	}
 	row("baseline", rep.Baseline)
 	row("durable", rep.Durable)

@@ -22,13 +22,16 @@ func TestCheckpointScenarioRuns(t *testing.T) {
 		t.Fatalf("phases served no work: baseline %+v durable %+v", rep.Baseline, rep.Durable)
 	}
 	// The durable fleet checkpoints every submission; the churn fleet also
-	// writes a park record per job and must resume every one of them — the
-	// phase itself fails if any reduction comes back partial or doubled.
+	// writes a park record per parked job and must resume every one of them
+	// — the phase itself fails if any reduction comes back partial or
+	// doubled. A job may finish before its suspend lands, so the resumes
+	// are checked against the jobs that parked, and at least one must park.
 	if rep.Durable.CheckpointWrites < int64(rep.Jobs) {
 		t.Errorf("durable phase wrote %d checkpoints for %d jobs", rep.Durable.CheckpointWrites, rep.Jobs)
 	}
-	if rep.SuspendResume.Resumes != int64(rep.Jobs) {
-		t.Errorf("suspend/resume phase resumed %d of %d jobs", rep.SuspendResume.Resumes, rep.Jobs)
+	if sr := rep.SuspendResume; sr.Resumes != sr.Parked || sr.Parked < 1 {
+		t.Errorf("suspend/resume phase resumed %d jobs, %d of %d parked; want resumes == parked >= 1",
+			sr.Resumes, sr.Parked, rep.Jobs)
 	}
 	if rep.CheckpointWriteNs <= 0 {
 		t.Error("write-cost phase measured nothing")

@@ -16,7 +16,6 @@ import (
 
 	"loopsched/internal/cilk"
 	"loopsched/internal/core"
-	"loopsched/internal/hybrid"
 	"loopsched/internal/omp"
 	"loopsched/internal/sched"
 )
@@ -56,7 +55,7 @@ var registry = map[string]Factory{
 		return cilk.New(cilk.Config{Workers: p, LockOSThread: LockThreads})
 	},
 	"hybrid": func(p int) sched.Scheduler {
-		return hybrid.New(hybrid.Config{Workers: p, LockOSThread: LockThreads})
+		return core.New(core.Config{Workers: p, Steal: true, LockOSThread: LockThreads})
 	},
 }
 

@@ -33,23 +33,33 @@ func WriteTable1(w io.Writer, rows []BurdenResult) error {
 	fg, okFG := byName["fine-grain-tree"]
 	om, okOM := byName["openmp-static"]
 	ck, okCK := byName["cilk"]
-	if okFG && okOM && fg.Fit.D > 0 {
-		fmt.Fprintf(w, "\nfine-grain vs OpenMP static: %.0f%% lower burden (fitted d), %.0f%% lower (intercept)  [paper: 43%% lower]\n",
-			100*(1-fg.Fit.D/om.Fit.D), 100*(1-safeRatio(fg.Fit.DIntercept, om.Fit.DIntercept)))
+	if okFG && okOM {
+		fmt.Fprintf(w, "\nfine-grain vs OpenMP static: %s lower burden (fitted d), %s lower (intercept)  [paper: 43%% lower]\n",
+			lowerPct(fg.Fit.D, om.Fit.D), lowerPct(fg.Fit.DIntercept, om.Fit.DIntercept))
 	}
-	if okFG && okCK && fg.Fit.D > 0 {
-		fmt.Fprintf(w, "fine-grain vs Cilk: %.1fx lower burden (fitted d), %.1fx lower (intercept)  [paper: 12.1x lower]\n",
-			ck.Fit.D/fg.Fit.D, safeRatio(ck.Fit.DIntercept, fg.Fit.DIntercept))
+	if okFG && okCK {
+		fmt.Fprintf(w, "fine-grain vs Cilk: %s lower burden (fitted d), %s lower (intercept)  [paper: 12.1x lower]\n",
+			lowerFactor(fg.Fit.D, ck.Fit.D), lowerFactor(fg.Fit.DIntercept, ck.Fit.DIntercept))
 	}
 	return nil
 }
 
-// safeRatio returns a/b, or 0 when b is zero.
-func safeRatio(a, b float64) float64 {
-	if b == 0 {
-		return 0
+// lowerPct formats how much lower burden a is than b, in percent. A fit
+// clamped to d <= 0 has no meaningful ratio, so either side <= 0 gives n/a.
+func lowerPct(a, b float64) string {
+	if a <= 0 || b <= 0 {
+		return "n/a"
 	}
-	return a / b
+	return fmt.Sprintf("%.0f%%", 100*(1-a/b))
+}
+
+// lowerFactor formats how many times lower burden a is than b, or n/a when
+// either side is <= 0.
+func lowerFactor(a, b float64) string {
+	if a <= 0 || b <= 0 {
+		return "n/a"
+	}
+	return fmt.Sprintf("%.1fx", b/a)
 }
 
 // WriteSweep renders the raw granularity sweep behind one Table 1 row.

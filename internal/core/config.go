@@ -77,6 +77,10 @@ type Config struct {
 	// LockOSThread locks worker goroutines to OS threads (default true via
 	// DefaultConfig). Tests that create many schedulers disable it.
 	LockOSThread bool
+	// Steal selects the work-stealing iteration policy for coarse loops:
+	// For and ForReduceVec over at least coarseThreshold iterations hand
+	// out stealable ranges instead of static blocks (see the package doc).
+	Steal bool
 	// Name overrides the scheduler's reported name.
 	Name string
 }
@@ -123,6 +127,8 @@ func (c Config) defaultName() string {
 		return c.Name
 	}
 	switch {
+	case c.Barrier == BarrierTree && c.Mode == ModeHalf && c.Steal:
+		return "hybrid"
 	case c.Barrier == BarrierTree && c.Mode == ModeHalf:
 		return "fine-grain-tree"
 	case c.Barrier == BarrierCentralized && c.Mode == ModeHalf:

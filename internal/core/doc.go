@@ -37,6 +37,28 @@
 // results — three full barriers per reducing loop versus two half-barriers
 // here (see internal/omp).
 //
+// # Iteration policies
+//
+// A loop's iterations reach the workers by one of two policies; fork, join
+// and the reduction views are the same for both.
+//
+//   - Static blocks (the default): worker w runs the w-th contiguous block
+//     of the iteration space, once.
+//   - Stealable ranges (Config.Steal, the paper's extension of its
+//     work-stealing runtime, named "hybrid"): fine-grain loops still run
+//     static blocks, but a coarse loop (at least coarseThreshold
+//     iterations) deals each worker its block as a range it owns. The
+//     worker takes chunks from the front of its range and, once that is
+//     exhausted, alternates random steal attempts — taking the back half
+//     of a victim's remaining range — with polling for loop completion,
+//     then joins through the same half-barrier.
+//
+// Only For and ForReduceVec steal. ForReduce and ForCombine always run
+// static blocks: their join wave folds the partials in worker order, which
+// equals iteration order only when worker w ran block w, and a
+// non-commutative reduction depends on that order. ForReduceVec's
+// element-wise sums do not.
+//
 // # Variants
 //
 // The scheduler exposes the ablation axes of Table 1 as configuration:

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math/rand/v2"
+	"sync/atomic"
+
 	"loopsched/internal/barrier"
 	"loopsched/internal/iterspace"
 	"loopsched/internal/pool"
@@ -45,6 +48,10 @@ type command struct {
 	// ForCombine: custom(into, from) folds worker `from`'s view (owned by
 	// the caller) into worker `into`'s.
 	custom func(into, from int)
+	// dynamic marks a loop run on stealable ranges (see policy), claimed
+	// chunk iterations at a time.
+	dynamic bool
+	chunk   int
 }
 
 // paddedF64 is a per-worker scalar reduction view on its own cache line.
@@ -81,6 +88,17 @@ type Scheduler struct {
 	scalarViews []paddedF64
 	vecViews    [][]float64
 
+	// Stealing policy state, allocated only with Config.Steal: one
+	// stealable range and random source per worker, and the iterations of
+	// the active stealing loop not yet run. coarse is the loop size at
+	// which stealing starts and chunk a fixed chunk size (0: chunkFor's
+	// rule); only tests set them to anything but the defaults.
+	ranges      []stealRange
+	rngs        []*rand.Rand
+	outstanding atomic.Int64
+	coarse      int
+	chunk       int
+
 	counters *trace.Counters
 	closed   bool
 }
@@ -96,6 +114,14 @@ func New(cfg Config) *Scheduler {
 		scalarViews: make([]paddedF64, p),
 		vecViews:    make([][]float64, p),
 		counters:    trace.New(),
+		coarse:      coarseThreshold,
+	}
+	if cfg.Steal {
+		s.ranges = make([]stealRange, p)
+		s.rngs = make([]*rand.Rand, p)
+		for w := range s.rngs {
+			s.rngs[w] = rand.New(rand.NewPCG(uint64(w), 17))
+		}
 	}
 	switch cfg.Barrier {
 	case BarrierCentralized:
@@ -148,9 +174,14 @@ func (s *Scheduler) workerLoop(w int) {
 	}
 }
 
-// runShare executes worker w's static block of the published loop and, for
-// reducing loops, deposits the partial result in the worker's view.
+// runShare executes worker w's static block of the published loop (or, for
+// a stealing loop, its stealable range) and, for reducing loops, deposits
+// the partial result in the worker's view.
 func (s *Scheduler) runShare(w int, c *command) {
+	if c.dynamic {
+		s.runStolen(w, c)
+		return
+	}
 	r := iterspace.Block(c.n, s.p, w)
 	switch c.reduce {
 	case reduceScalar:
@@ -286,17 +317,21 @@ func (s *Scheduler) runLoop(c command) {
 }
 
 // For implements sched.Scheduler: it executes body over [0, n) with static
-// block partitioning, one contiguous block per worker.
+// block partitioning, one contiguous block per worker, or on stealable
+// ranges when the scheduler steals and the loop is coarse.
 func (s *Scheduler) For(n int, body sched.Body) {
 	if n <= 0 {
 		return
 	}
-	s.runLoop(command{kind: cmdRun, n: n, body: body})
+	c := command{kind: cmdRun, n: n, body: body}
+	s.policy(&c)
+	s.runLoop(c)
 }
 
 // ForReduce implements sched.Scheduler: a reducing loop whose per-worker
 // partial results are folded into the join wave (half mode) or the join
 // barrier (full mode), using exactly P-1 combine operations in worker order.
+// It never steals: the ordered combine needs each worker's block.
 func (s *Scheduler) ForReduce(n int, identity float64, combine func(a, b float64) float64, body sched.ReduceBody) float64 {
 	if n <= 0 {
 		return identity
@@ -307,7 +342,8 @@ func (s *Scheduler) ForReduce(n int, identity float64, combine func(a, b float64
 }
 
 // ForReduceVec implements sched.Scheduler: a loop reducing element-wise into
-// a vector of `width` float64s.
+// a vector of `width` float64s. The sums are commutative, so coarse loops
+// steal like For.
 func (s *Scheduler) ForReduceVec(n, width int, body sched.VecBody) []float64 {
 	out := make([]float64, width)
 	if n <= 0 || width <= 0 {
@@ -315,17 +351,19 @@ func (s *Scheduler) ForReduceVec(n, width int, body sched.VecBody) []float64 {
 	}
 	s.ensureVecViews(width)
 	c := command{kind: cmdRun, n: n, vbody: body, reduce: reduceVec, width: width}
+	s.policy(&c)
 	s.runLoop(c)
 	copy(out, s.vecViews[0][:width])
 	return out
 }
 
-// ForCombine executes body over [0, n) with static block partitioning and,
-// during the join wave, folds caller-owned per-worker views in iteration
-// order by invoking combine(into, from) exactly P-1 times. It is the
-// building block for reductions over arbitrary (non-float64) view types —
-// the statically allocated Cilk-reducer replacement exposed by the public
-// loop package — while keeping the reduction merged into the half-barrier.
+// ForCombine executes body over [0, n) with static block partitioning (it
+// never steals) and, during the join wave, folds caller-owned per-worker
+// views in iteration order by invoking combine(into, from) exactly P-1
+// times (none when combine is nil). It is the building block for
+// reductions over arbitrary (non-float64) view types — the statically
+// allocated Cilk-reducer replacement exposed by the public loop package —
+// while keeping the reduction merged into the half-barrier.
 //
 // The caller must ensure body(w, ...) only writes worker w's view and that
 // combine(into, from) only touches those two views; the join wave provides
@@ -334,11 +372,11 @@ func (s *Scheduler) ForCombine(n int, body sched.Body, combine func(into, from i
 	if n <= 0 {
 		return
 	}
-	if combine == nil {
-		s.For(n, body)
-		return
+	c := command{kind: cmdRun, n: n, body: body}
+	if combine != nil {
+		c.reduce, c.custom = reduceCustom, combine
 	}
-	s.runLoop(command{kind: cmdRun, n: n, body: body, reduce: reduceCustom, custom: combine})
+	s.runLoop(c)
 }
 
 // ensureVecViews grows the per-worker vector views to at least width

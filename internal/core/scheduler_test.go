@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"loopsched/internal/sched"
+	"loopsched/internal/schedtest"
 	"loopsched/internal/trace"
 )
 
@@ -34,6 +35,28 @@ func workerCounts() []int {
 		out = []int{1}
 	}
 	return out
+}
+
+// TestConformance runs the shared scheduler suite on every barrier×mode
+// variant, with the static and with the stealing iteration policy. All of
+// them reduce in worker order, so the ordered suite applies.
+func TestConformance(t *testing.T) {
+	for _, cfg := range testConfigs(0) {
+		for _, steal := range []bool{false, true} {
+			cfg.Steal = steal
+			name := cfg.defaultName()
+			if steal && name != "hybrid" {
+				name += "-steal"
+			}
+			t.Run(name, func(t *testing.T) {
+				schedtest.Run(t, schedtest.WorkerCounts(runtime.GOMAXPROCS(0)), func(p int) sched.Scheduler {
+					c := cfg
+					c.Workers = p
+					return New(c)
+				})
+			})
+		}
+	}
 }
 
 func TestForCoversAllIterations(t *testing.T) {
@@ -320,6 +343,7 @@ func TestSchedulerNames(t *testing.T) {
 		"fine-grain-tree":              {Barrier: BarrierTree, Mode: ModeHalf},
 		"fine-grain-centralized":       {Barrier: BarrierCentralized, Mode: ModeHalf},
 		"fine-grain-tree-full-barrier": {Barrier: BarrierTree, Mode: ModeFull},
+		"hybrid":                       {Barrier: BarrierTree, Mode: ModeHalf, Steal: true},
 	}
 	for want, cfg := range cases {
 		if got := cfg.defaultName(); got != want {

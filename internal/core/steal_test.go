@@ -1,4 +1,4 @@
-package hybrid
+package core
 
 import (
 	"runtime"
@@ -11,51 +11,54 @@ import (
 	"loopsched/internal/trace"
 )
 
-func counts() []int { return schedtest.WorkerCounts(runtime.GOMAXPROCS(0)) }
+// newStealing returns a stealing tree half-barrier scheduler whose policy
+// starts at coarse iterations and claims chunk iterations at a time (0
+// keeps the defaults).
+func newStealing(p, coarse, chunk int) *Scheduler {
+	s := New(Config{Workers: p, Steal: true, LockOSThread: false})
+	if coarse > 0 {
+		s.coarse = coarse
+	}
+	s.chunk = chunk
+	return s
+}
 
-func TestConformanceDefault(t *testing.T) {
-	schedtest.Run(t, counts(), func(p int) sched.Scheduler {
-		return New(Config{Workers: p, LockOSThread: false})
-	})
+// stealWorkers caps the team at 8 and reports whether the machine has the 2
+// processors a stealing test needs.
+func stealWorkers() (int, bool) {
+	return min(runtime.GOMAXPROCS(0), 8), runtime.GOMAXPROCS(0) >= 2
 }
 
 func TestConformanceAllDynamic(t *testing.T) {
-	// Force every loop (even tiny ones) down the dynamic work-stealing path.
-	schedtest.RunCommutative(t, counts(), func(p int) sched.Scheduler {
-		return New(Config{Workers: p, CoarseThreshold: 1, Chunk: 3, LockOSThread: false})
-	})
-}
-
-func TestConformanceAllStatic(t *testing.T) {
-	schedtest.Run(t, counts(), func(p int) sched.Scheduler {
-		return New(Config{Workers: p, CoarseThreshold: 1 << 30, LockOSThread: false})
+	// Force every loop (even tiny ones) onto stealable ranges. ForReduce
+	// stays static, but the suite's ordered test is skipped so that only
+	// the commutative guarantees are claimed of the stealing path.
+	schedtest.RunCommutative(t, schedtest.WorkerCounts(runtime.GOMAXPROCS(0)), func(p int) sched.Scheduler {
+		return newStealing(p, 1, 3)
 	})
 }
 
 func TestFineLoopsUseStaticPathAndCoarseLoopsSteal(t *testing.T) {
-	p := runtime.GOMAXPROCS(0)
-	if p < 2 {
+	p, ok := stealWorkers()
+	if !ok {
 		t.Skip("needs 2 workers")
 	}
-	if p > 8 {
-		p = 8
-	}
-	r := New(Config{Workers: p, CoarseThreshold: 1000, Chunk: 16, LockOSThread: false})
-	defer r.Close()
+	s := newStealing(p, 1000, 16)
+	defer s.Close()
 
 	// Fine-grain loop: below the threshold → no chunks claimed dynamically.
-	r.Counters().Reset()
-	r.For(100, func(w, b, e int) {})
-	if got := r.Counters().Get(trace.ChunksClaimed); got != 0 {
+	s.Counters().Reset()
+	s.For(100, func(w, b, e int) {})
+	if got := s.Counters().Get(trace.ChunksClaimed); got != 0 {
 		t.Errorf("fine-grain loop claimed %d dynamic chunks, want 0 (static path)", got)
 	}
 
 	// Coarse loop with imbalanced work: chunks are claimed dynamically and,
 	// across repetitions, steals occur.
-	r.Counters().Reset()
+	s.Counters().Reset()
 	var sink atomic.Int64
-	for rep := 0; rep < 20 && r.Counters().Get(trace.Steals) == 0; rep++ {
-		r.For(200000, func(w, begin, end int) {
+	for rep := 0; rep < 20 && s.Counters().Get(trace.Steals) == 0; rep++ {
+		s.For(200000, func(w, begin, end int) {
 			local := int64(0)
 			// Imbalanced: later iterations are much heavier.
 			for i := begin; i < end; i++ {
@@ -67,24 +70,20 @@ func TestFineLoopsUseStaticPathAndCoarseLoopsSteal(t *testing.T) {
 			sink.Add(local)
 		})
 	}
-	if got := r.Counters().Get(trace.ChunksClaimed); got == 0 {
+	if got := s.Counters().Get(trace.ChunksClaimed); got == 0 {
 		t.Errorf("coarse loop claimed no dynamic chunks")
 	}
-	if got := r.Counters().Get(trace.Steals); got == 0 {
+	if got := s.Counters().Get(trace.Steals); got == 0 {
 		t.Errorf("no steals observed on an imbalanced coarse loop")
 	}
 }
 
 func TestDynamicLoadBalancingCoversEverything(t *testing.T) {
-	p := runtime.GOMAXPROCS(0)
-	if p > 6 {
-		p = 6
-	}
-	r := New(Config{Workers: p, CoarseThreshold: 1, Chunk: 5, LockOSThread: false})
-	defer r.Close()
+	s := newStealing(min(runtime.GOMAXPROCS(0), 6), 1, 5)
+	defer s.Close()
 	n := 50000
 	marks := make([]int32, n)
-	r.For(n, func(w, begin, end int) {
+	s.For(n, func(w, begin, end int) {
 		for i := begin; i < end; i++ {
 			atomic.AddInt32(&marks[i], 1)
 		}
@@ -97,39 +96,40 @@ func TestDynamicLoadBalancingCoversEverything(t *testing.T) {
 }
 
 func TestReduceUsesExactlyPMinus1Combines(t *testing.T) {
-	p := runtime.GOMAXPROCS(0)
-	if p < 2 {
+	p, ok := stealWorkers()
+	if !ok {
 		t.Skip("needs 2 workers")
 	}
-	if p > 8 {
-		p = 8
-	}
-	r := New(Config{Workers: p, LockOSThread: false})
-	defer r.Close()
-	r.Counters().Reset()
-	got := r.ForReduce(100000, 0, func(a, b float64) float64 { return a + b },
+	// A coarse ForReduce on a stealing scheduler still runs static blocks
+	// and folds them in the join wave.
+	s := newStealing(p, 0, 0)
+	defer s.Close()
+	s.Counters().Reset()
+	got := s.ForReduce(100000, 0, func(a, b float64) float64 { return a + b },
 		func(w, b, e int, acc float64) float64 { return acc + float64(e-b) })
 	if int(got) != 100000 {
 		t.Fatalf("reduce = %v", got)
 	}
-	if c := r.Counters().Get(trace.Reductions); c != int64(p-1) {
+	if c := s.Counters().Get(trace.Reductions); c != int64(p-1) {
 		t.Errorf("%d combines, want exactly %d", c, p-1)
+	}
+	if c := s.Counters().Get(trace.ChunksClaimed); c != 0 {
+		t.Errorf("ordered reduction claimed %d dynamic chunks, want 0", c)
 	}
 }
 
 func TestChunkSizing(t *testing.T) {
-	r := New(Config{Workers: 4, LockOSThread: false})
-	defer r.Close()
-	if c := r.chunkFor(1000); c != 64 {
+	s := newStealing(4, 0, 0)
+	defer s.Close()
+	if c := s.chunkFor(1000); c != 64 {
 		t.Errorf("small-loop chunk = %d, want the 64 floor", c)
 	}
-	if c := r.chunkFor(64 * 64 * 4 * 10); c != 640 {
+	if c := s.chunkFor(64 * 64 * 4 * 10); c != 640 {
 		t.Errorf("large-loop chunk = %d, want 640", c)
 	}
-	r2 := New(Config{Workers: 4, Chunk: 17, LockOSThread: false})
-	defer r2.Close()
-	if c := r2.chunkFor(1 << 20); c != 17 {
-		t.Errorf("explicit chunk not honoured: %d", c)
+	s.chunk = 17
+	if c := s.chunkFor(1 << 20); c != 17 {
+		t.Errorf("fixed chunk not honoured: %d", c)
 	}
 }
 
@@ -159,19 +159,4 @@ func TestStealRange(t *testing.T) {
 	if got := sr.take(4); got.Len() != 1 {
 		t.Errorf("owner should still claim the last iteration, got %v", got)
 	}
-}
-
-func TestNameAndClose(t *testing.T) {
-	r := New(Config{Workers: 2, LockOSThread: false})
-	if r.Name() != "hybrid" || r.P() != 2 {
-		t.Errorf("metadata wrong: %q %d", r.Name(), r.P())
-	}
-	r.Close()
-	r.Close()
-	defer func() {
-		if recover() == nil {
-			t.Errorf("expected panic after Close")
-		}
-	}()
-	r.For(5, func(w, b, e int) {})
 }

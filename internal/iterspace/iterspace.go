@@ -67,16 +67,6 @@ func Block(n, p, w int) Range {
 	return Range{begin, begin + base}
 }
 
-// BlockAll returns the block assignment of every worker, in worker order.
-// The concatenation of the returned ranges is exactly [0, n).
-func BlockAll(n, p int) []Range {
-	out := make([]Range, p)
-	for w := 0; w < p; w++ {
-		out[w] = Block(n, p, w)
-	}
-	return out
-}
-
 // Strided computes the block-cyclic assignment with the given chunk size:
 // worker w executes chunks w, w+p, w+2p, ... of size chunk. The returned
 // ranges are the chunks in execution order for that worker.

@@ -68,10 +68,6 @@ func TestBlockPartition(t *testing.T) {
 			t.Errorf("Block(%d,%d,·) imbalance %d", c.n, c.p, max-min)
 		}
 	}
-	all := BlockAll(10, 3)
-	if len(all) != 3 || all[0].Len() != 4 || all[2].End != 10 {
-		t.Errorf("BlockAll(10,3) = %v", all)
-	}
 }
 
 func TestBlockPanics(t *testing.T) {

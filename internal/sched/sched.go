@@ -1,8 +1,9 @@
 // Package sched defines the scheduler-facing contract that every runtime in
-// this repository implements (the fine-grain half-barrier scheduler, the
-// OpenMP-style baselines, the Cilk-style baseline and the hybrid), so that
-// the workloads — the granularity micro-benchmark, MPDATA and the map-reduce
-// kernels — are written once and run under any of them.
+// this repository implements (the fine-grain half-barrier scheduler, with
+// or without its work-stealing policy, the OpenMP-style baselines and the
+// Cilk-style baseline), so that the workloads — the granularity
+// micro-benchmark, MPDATA and the map-reduce kernels — are written once and
+// run under any of them.
 package sched
 
 // Body is the body of a parallel loop over a contiguous chunk of the

@@ -1,10 +1,10 @@
 // Package schedtest provides a conformance suite for implementations of the
 // sched.Scheduler interface. Every runtime in this repository (the
-// fine-grain scheduler, the OpenMP-style baselines, the Cilk-style baseline
-// and the hybrid) runs this suite from its own test package, so behavioural
-// guarantees — full coverage of the iteration space, correct reductions,
-// iteration-order combination, reusability across many loops — are enforced
-// uniformly.
+// fine-grain scheduler in each of its variants and iteration policies, the
+// OpenMP-style baselines and the Cilk-style baseline) runs this suite from
+// its own test package, so behavioural guarantees — full coverage of the
+// iteration space, correct reductions, iteration-order combination,
+// reusability across many loops — are enforced uniformly.
 package schedtest
 
 import (
