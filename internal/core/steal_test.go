@@ -118,6 +118,21 @@ func TestReduceUsesExactlyPMinus1Combines(t *testing.T) {
 	}
 }
 
+func TestNameAndClose(t *testing.T) {
+	s := New(Config{Workers: 2, Steal: true, LockOSThread: false})
+	if s.Name() != "hybrid" || s.P() != 2 {
+		t.Errorf("metadata wrong: %q %d", s.Name(), s.P())
+	}
+	s.Close()
+	s.Close()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("expected panic after Close")
+		}
+	}()
+	s.For(5, func(w, b, e int) {})
+}
+
 func TestChunkSizing(t *testing.T) {
 	s := newStealing(4, 0, 0)
 	defer s.Close()
