@@ -35,6 +35,7 @@ import (
 	"loopsched/internal/mpdata"
 	"loopsched/internal/sched"
 	"loopsched/internal/topology"
+	"loopsched/internal/trace"
 	"loopsched/internal/workload"
 )
 
@@ -96,9 +97,9 @@ func BenchmarkTable1_Burden(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure2_MPDATA measures one MPDATA time step (5 fine-grain
+// BenchmarkFigure2_MPDATA measures one MPDATA time step (3 fine-grain
 // parallel loops with one corrective pass) on the paper's 5568-point /
-// 16399-edge grid.
+// 16399-edge grid; us/loop divides the step time by that loop count.
 func BenchmarkFigure2_MPDATA(b *testing.B) {
 	g, err := grid.NewPaperGrid()
 	if err != nil {
@@ -164,7 +165,8 @@ func BenchmarkFigure3_Linreg(b *testing.B) {
 // BenchmarkImbalancedLoop runs one coarse loop whose per-iteration cost
 // grows with the index (1 + i/256 inner steps over 2^15 iterations). Static
 // blocks leave the early workers idle while the last block finishes; this is
-// the load the hybrid's work-stealing policy exists for.
+// the load the hybrid's work-stealing policy exists for. Runtimes that count
+// steals also report successful and failed steal attempts per loop.
 func BenchmarkImbalancedLoop(b *testing.B) {
 	const n = 1 << 15
 	body := func(w, begin, end int) {
@@ -184,10 +186,19 @@ func BenchmarkImbalancedLoop(b *testing.B) {
 			}
 			defer s.Close()
 			s.For(n, body) // warm up the team
+			// A nil *trace.Counters counts nothing.
+			var counters *trace.Counters
+			if c, ok := s.(interface{ Counters() *trace.Counters }); ok {
+				counters = c.Counters()
+			}
+			counters.Reset()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s.For(n, body)
 			}
+			b.StopTimer()
+			b.ReportMetric(float64(counters.Get(trace.Steals))/float64(b.N), "steals/op")
+			b.ReportMetric(float64(counters.Get(trace.FailedSteals))/float64(b.N), "failed-steals/op")
 		})
 	}
 }

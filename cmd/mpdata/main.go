@@ -21,6 +21,10 @@ import (
 	"loopsched/internal/bench"
 )
 
+// maxMassErr bounds the relative mass error -verify accepts: MPDATA conserves
+// mass up to round-off.
+const maxMassErr = 1e-11
+
 func main() {
 	var (
 		steps      = flag.Int("steps", 50, "MPDATA time steps per measurement")
@@ -28,17 +32,30 @@ func main() {
 		threads    = flag.String("threads", "", "comma-separated thread counts (default: 1,2,4,... up to the machine)")
 		schedulers = flag.String("schedulers", "fine-grain-tree,openmp-static", "comma-separated scheduler names for the left panel")
 		corrective = flag.Int("corrective", 1, "number of MPDATA corrective passes")
-		verify     = flag.Bool("verify", false, "check the parallel solution against the sequential oracle and exit")
+		verify     = flag.Bool("verify", false, "check each scheduler's field against the sequential oracle bit for bit and exit non-zero on a mismatch (-schedulers all checks every registered one)")
 	)
 	flag.Parse()
 
 	if *verify {
-		for _, name := range splitList(*schedulers) {
-			maxDiff, massErr, err := bench.VerifyMPDATA(name, 10)
+		names := splitList(*schedulers)
+		if len(names) == 1 && names[0] == "all" {
+			names = bench.Names()
+		}
+		failed := false
+		for _, name := range names {
+			maxDiff, massErr, differ, err := bench.VerifyMPDATA(name, 10)
 			if err != nil {
 				fatal(err)
 			}
-			fmt.Printf("%-20s max |Δψ| vs sequential = %.3g, relative mass error = %.3g\n", name, maxDiff, massErr)
+			verdict := "ok"
+			if differ > 0 || !(massErr <= maxMassErr) {
+				verdict, failed = "FAIL", true
+			}
+			fmt.Printf("%-28s max |Δψ| vs sequential = %.3g, points differing in any bit = %d, relative mass error = %.3g: %s\n",
+				name, maxDiff, differ, massErr, verdict)
+		}
+		if failed {
+			fatal(fmt.Errorf("a field differs from the sequential one or loses mass beyond %g", maxMassErr))
 		}
 		return
 	}

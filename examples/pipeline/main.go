@@ -1,19 +1,21 @@
 // Command pipeline demonstrates job pipelines: parallel-loop stages chained
 // through runtime dependencies — each stage starts the moment the previous
 // stage's join wave completes, with no client-side waiting in between — plus
-// a fan-out/fan-in diamond and cancellation propagating down a chain.
+// a fan-out/fan-in diamond and cancellation propagating down a chain. Each
+// line prints a result next to its expectation, and the program exits
+// non-zero when one differs.
 package main
 
 import (
 	"errors"
 	"fmt"
+	"os"
 
 	"loopsched"
 )
 
 func main() {
 	pool := loopsched.New(loopsched.Config{})
-	defer pool.Close()
 	fmt.Printf("pool: %v\n", pool)
 
 	const n = 1 << 20
@@ -38,6 +40,7 @@ func main() {
 	}
 	want := float64(n) * float64(n-1) // sum of 2i over [0, n)
 	fmt.Printf("chain:   sum = %.0f (want %.0f)\n", sum, want)
+	ok := sum == want
 
 	// The same shape with SubmitPipeline: one call, one handle per stage.
 	stages := pool.SubmitPipeline(
@@ -62,7 +65,9 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("stages:  sum = %.0f (want %.0f)\n", sum, float64(n)*float64(n-1)/2+n)
+	want = float64(n)*float64(n-1)/2 + n
+	fmt.Printf("stages:  sum = %.0f (want %.0f)\n", sum, want)
+	ok = ok && sum == want
 
 	// Fan-out/fan-in with JobOptions.After: one source, three dependent
 	// transforms that all wait for it, one sink that waits for all three.
@@ -91,6 +96,7 @@ func main() {
 		panic(err)
 	}
 	fmt.Printf("diamond: sum = %.0f (want %d)\n", sum, 6*n)
+	ok = ok && sum == 6*n
 
 	// Canceling an upstream cancels the whole downstream chain: the stats
 	// report the dependents as propagated cancels, and their errors match
@@ -104,8 +110,19 @@ func main() {
 	close(gate)
 	blocker.Wait()
 	fmt.Printf("cancel:  tail err = %q (is ErrCanceled: %v)\n", err, errors.Is(err, loopsched.ErrCanceled))
+	ok = ok && errors.Is(err, loopsched.ErrCanceled)
 
+	// Only tail's cancel propagated (head's was explicit), and at rest no job
+	// is blocked. How many dependents were released depends on whether their
+	// upstream had already finished when they were submitted.
 	st := pool.AsyncStats()
-	fmt.Printf("stats:   released=%d dep-canceled=%d blocked=%d\n",
+	fmt.Printf("stats:   released=%d dep-canceled=%d (want 1) blocked=%d (want 0)\n",
 		st.Total.Released, st.Total.DepCanceled, st.Total.BlockedDepth)
+	ok = ok && st.Total.DepCanceled == 1 && st.Total.BlockedDepth == 0
+
+	pool.Close()
+	if !ok {
+		fmt.Println("FAIL: a result differs from its expectation")
+		os.Exit(1)
+	}
 }

@@ -51,13 +51,6 @@ func NewTree(shape topology.TreeShape) *Tree {
 	}
 }
 
-// NewTreeForWorkers builds a tree barrier for p workers using a topology-
-// derived grouped shape with default fan-outs.
-func NewTreeForWorkers(p int) *Tree {
-	topo := topology.Detect(p)
-	return NewTree(topo.GroupedTree(4, 4))
-}
-
 // Participants returns P.
 func (b *Tree) Participants() int { return b.shape.P }
 

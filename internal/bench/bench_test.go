@@ -226,9 +226,12 @@ func TestRunMPDATASmall(t *testing.T) {
 }
 
 func TestVerifyMPDATA(t *testing.T) {
-	maxDiff, massErr, err := VerifyMPDATA("fine-grain-tree", 3)
+	maxDiff, massErr, differ, err := VerifyMPDATA("fine-grain-tree", 3)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if differ != 0 {
+		t.Errorf("%d points differ from the sequential field in some bit", differ)
 	}
 	if maxDiff > 1e-12 {
 		t.Errorf("parallel MPDATA diverges from sequential by %v", maxDiff)

@@ -147,17 +147,18 @@ func timeMPDATA(base *mpdata.Solver, s sched.Scheduler, opt MPDATAOptions) float
 }
 
 // VerifyMPDATA runs a short simulation under the named scheduler and the
-// sequential oracle and returns the maximum absolute field difference and
-// the relative mass error; used by integration tests and by the cmd tool's
-// -verify flag.
-func VerifyMPDATA(name string, steps int) (maxDiff, massErr float64, err error) {
+// sequential oracle and returns the maximum absolute field difference, the
+// relative mass error and the number of points whose value differs from the
+// oracle's in any bit (so a NaN or a zero of the other sign counts); used by
+// integration tests and by the cmd tool's -verify flag.
+func VerifyMPDATA(name string, steps int) (maxDiff, massErr float64, differ int, err error) {
 	g, err := grid.NewPaperGrid()
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	base, err := mpdata.New(g, mpdata.Config{Corrective: 1})
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	seqSolver := base.Clone()
 	parSolver := base.Clone()
@@ -165,7 +166,7 @@ func VerifyMPDATA(name string, steps int) (maxDiff, massErr float64, err error) 
 	seq := sched.NewSequential()
 	s, err := NewScheduler(name, 0)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	defer s.Close()
 
@@ -178,12 +179,15 @@ func VerifyMPDATA(name string, steps int) (maxDiff, massErr float64, err error) 
 		if d > maxDiff {
 			maxDiff = d
 		}
+		if math.Float64bits(seqSolver.Psi[i]) != math.Float64bits(parSolver.Psi[i]) {
+			differ++
+		}
 	}
 	mass1 := parSolver.Mass(s)
 	if mass0 != 0 {
 		massErr = math.Abs(mass1-mass0) / math.Abs(mass0)
 	}
-	return maxDiff, massErr, nil
+	return maxDiff, massErr, differ, nil
 }
 
 // LoopDuration estimates the average duration of a single parallel loop in

@@ -2,8 +2,10 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"loopsched/internal/iterspace"
+	"loopsched/internal/spin"
 	"loopsched/internal/trace"
 )
 
@@ -20,11 +22,12 @@ const (
 // stealRange is a worker-owned remaining iteration range that thieves can
 // split. The owner claims chunks from the front; a thief steals the back
 // half. A mutex keeps the invariant simple; the critical section is a few
-// arithmetic operations.
+// arithmetic operations. The bounds are written only under the mutex, but
+// atomically, so stealable can read them without it.
 type stealRange struct {
 	mu    sync.Mutex
-	begin int
-	end   int
+	begin atomic.Int64
+	end   atomic.Int64
 	_     [96]byte
 }
 
@@ -33,11 +36,12 @@ type stealRange struct {
 func (r *stealRange) take(chunk int) iterspace.Range {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.begin >= r.end {
+	begin, end := int(r.begin.Load()), int(r.end.Load())
+	if begin >= end {
 		return iterspace.Range{}
 	}
-	out := iterspace.Range{Begin: r.begin, End: min(r.begin+chunk, r.end)}
-	r.begin = out.End
+	out := iterspace.Range{Begin: begin, End: min(begin+chunk, end)}
+	r.begin.Store(int64(out.End))
 	return out
 }
 
@@ -46,18 +50,29 @@ func (r *stealRange) take(chunk int) iterspace.Range {
 func (r *stealRange) stealHalf() iterspace.Range {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.end-r.begin < 2 {
+	begin, end := int(r.begin.Load()), int(r.end.Load())
+	if end-begin < 2 {
 		return iterspace.Range{}
 	}
-	out := iterspace.Range{Begin: r.begin + (r.end-r.begin)/2, End: r.end}
-	r.end = out.Begin
+	out := iterspace.Range{Begin: begin + (end-begin)/2, End: end}
+	r.end.Store(int64(out.Begin))
 	return out
+}
+
+// stealable reports, without the mutex, whether stealHalf may succeed. It
+// reads begin before end, and begin only grows while a range drains, so a
+// range it reports as too short was too short when end was read; a reset
+// that refills the range meanwhile is seen by a later call.
+func (r *stealRange) stealable() bool {
+	begin := r.begin.Load()
+	return r.end.Load()-begin >= 2
 }
 
 // reset reinstalls a fresh range.
 func (r *stealRange) reset(rng iterspace.Range) {
 	r.mu.Lock()
-	r.begin, r.end = rng.Begin, rng.End
+	r.begin.Store(int64(rng.Begin))
+	r.end.Store(int64(rng.End))
 	r.mu.Unlock()
 }
 
@@ -118,23 +133,29 @@ func (s *Scheduler) runStolen(w int, c *command) {
 	}
 }
 
-// stealInto alternates random steal attempts with polling for loop
-// completion until it moves half of a victim's remaining range into worker
-// w's own range. It returns false once every iteration has run.
+// stealInto sweeps the other workers' ranges, from a random one onwards,
+// until it moves half of a victim's remaining range into worker w's own
+// range. A victim whose range looks too short without its mutex is skipped,
+// so an idle thief stays off the lock the owner takes for every chunk. A
+// sweep that finds nothing counts one failed steal and backs off before the
+// next. It returns false once every iteration has run.
 func (s *Scheduler) stealInto(w int) bool {
+	var backoff spin.Backoff
 	for s.outstanding.Load() > 0 {
-		victim := s.rngs[w].IntN(s.p)
-		if victim == w {
-			continue
+		first := s.rngs[w].IntN(s.p)
+		for i := range s.p {
+			victim := (first + i) % s.p
+			if victim == w || !s.ranges[victim].stealable() {
+				continue
+			}
+			if stolen := s.ranges[victim].stealHalf(); !stolen.Empty() {
+				s.counters.Inc(trace.Steals)
+				s.ranges[w].reset(stolen)
+				return true
+			}
 		}
-		stolen := s.ranges[victim].stealHalf()
-		if stolen.Empty() {
-			s.counters.Inc(trace.FailedSteals)
-			continue
-		}
-		s.counters.Inc(trace.Steals)
-		s.ranges[w].reset(stolen)
-		return true
+		s.counters.Inc(trace.FailedSteals)
+		backoff.Pause()
 	}
 	return false
 }

@@ -67,24 +67,6 @@ func Block(n, p, w int) Range {
 	return Range{begin, begin + base}
 }
 
-// Strided computes the block-cyclic assignment with the given chunk size:
-// worker w executes chunks w, w+p, w+2p, ... of size chunk. The returned
-// ranges are the chunks in execution order for that worker.
-func Strided(n, p, w, chunk int) []Range {
-	if chunk <= 0 {
-		chunk = 1
-	}
-	var out []Range
-	for begin := w * chunk; begin < n; begin += p * chunk {
-		end := begin + chunk
-		if end > n {
-			end = n
-		}
-		out = append(out, Range{begin, end})
-	}
-	return out
-}
-
 // Chunker hands out chunks of an iteration space dynamically. It is the
 // shared-counter scheduler behind OpenMP schedule(dynamic,chunk): every Next
 // call claims the next `chunk` iterations with a single atomic add.

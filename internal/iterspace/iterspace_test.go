@@ -120,36 +120,6 @@ func TestPropertyBlockCoversExactly(t *testing.T) {
 	}
 }
 
-func TestStrided(t *testing.T) {
-	chunks := Strided(10, 3, 0, 2)
-	want := []Range{{0, 2}, {6, 8}}
-	if len(chunks) != len(want) {
-		t.Fatalf("Strided = %v", chunks)
-	}
-	for i := range want {
-		if chunks[i] != want[i] {
-			t.Fatalf("Strided = %v, want %v", chunks, want)
-		}
-	}
-	// All workers together cover everything exactly once.
-	seen := make([]int, 10)
-	for w := 0; w < 3; w++ {
-		for _, r := range Strided(10, 3, w, 2) {
-			for i := r.Begin; i < r.End; i++ {
-				seen[i]++
-			}
-		}
-	}
-	for i, c := range seen {
-		if c != 1 {
-			t.Errorf("iteration %d covered %d times", i, c)
-		}
-	}
-	if got := Strided(5, 2, 0, 0); len(got) == 0 {
-		t.Errorf("chunk 0 should be treated as 1")
-	}
-}
-
 func TestChunkerSequential(t *testing.T) {
 	c := NewChunker(10, 3)
 	var got []Range

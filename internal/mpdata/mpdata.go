@@ -5,21 +5,26 @@
 //
 // Each time step performs the classic MPDATA structure:
 //
-//  1. an upwind (donor-cell) pass: an edge loop computing fluxes followed by
-//     a point loop applying the flux divergence, and
+//  1. an upwind (donor-cell) pass with the fixed physical velocities, and
 //  2. one or more corrective passes that re-advect the field with
-//     "antidiffusive" edge velocities derived from the intermediate field,
-//     each again an edge loop plus a point loop.
+//     "antidiffusive" edge velocities derived from the intermediate field.
 //
-// A time step issues 2 + 3·Corrective parallel loops: an edge loop and a
-// point loop per pass, plus the antidiffusive-velocity edge loop of each
-// corrective pass. On the paper's grid (5568 points, 16399 edges) with one
-// corrective pass, a step takes about 270 µs on one core of a 2-vCPU Xeon
-// (Go 1.24), about 55 µs per loop, and a loop split over two workers takes
-// about 31 µs, against 0.74 µs for an empty loop. Each added worker shrinks
-// a loop's share further, towards the fine-grain regime where scheduler
-// burden dominates, so the solver's scalability is a direct function of the
-// loop scheduler's overhead. All loops are dispatched through a pluggable
+// The upwind velocities never change after New, so the upwind pass is a
+// single point loop: every CSR slot of a point carries its outward-signed
+// velocity and its donor point, and the point sums velocity times donor
+// value in CSR order. A corrective pass is an edge loop that computes each
+// edge's antidiffusive velocity and its donor-cell flux in one iteration,
+// followed by a point loop applying the flux divergence. A time step thus
+// issues 1 + 2·Corrective parallel loops, and every field stays equal bit
+// for bit to the plain edge-loop-plus-point-loop formulation.
+//
+// On the paper's grid (5568 points, 16399 edges) with one corrective pass,
+// a step takes about 180 µs on one core of a 2-vCPU Xeon (Go 1.24), about
+// 60 µs per loop, and a loop split over two workers takes about 40 µs,
+// against 0.74 µs for an empty loop. Each added worker shrinks a loop's
+// share further, towards the fine-grain regime where scheduler burden
+// dominates, so the solver's scalability is a direct function of the loop
+// scheduler's overhead. All loops are dispatched through a pluggable
 // sched.Scheduler so the same solver runs under the fine-grain, OpenMP-style
 // and Cilk-style runtimes.
 package mpdata
@@ -55,22 +60,24 @@ type Solver struct {
 	next []float64
 
 	// vn is the prescribed normal velocity at each edge (positive from
-	// EdgeFrom towards EdgeTo); vnCorr holds the antidiffusive velocities of
-	// the current corrective pass.
-	vn     []float64
-	vnCorr []float64
+	// EdgeFrom towards EdgeTo).
+	vn []float64
 
-	// flux is the per-edge flux of the current pass.
+	// flux is the per-edge flux of the current corrective pass.
 	flux []float64
 
 	// sign holds, for each CSR slot of g.IncidentEdges, +1 when the slot's
 	// point is the edge's EdgeFrom end (the flux leaves it) and -1 otherwise,
 	// so the point loop adds sign·flux instead of branching on the endpoint.
 	// coef holds each edge's antidiffusive factor |C|-C² with the Courant
-	// number C = vn·dt. Both depend only on the grid, vn and dt, which are
-	// fixed after New, so clones share them.
-	sign []float64
-	coef []float64
+	// number C = vn·dt. upVel holds each slot's outward-signed upwind
+	// velocity sign·vn and upDonor the slot's upwind donor point. All four
+	// depend only on the grid, vn and dt, which are fixed after New, so
+	// clones share them.
+	sign    []float64
+	coef    []float64
+	upVel   []float64
+	upDonor []int32
 
 	steps int
 }
@@ -94,13 +101,12 @@ func New(g *grid.Grid, cfg Config) (*Solver, error) {
 		cfg.Epsilon = 1e-15
 	}
 	s := &Solver{
-		g:      g,
-		cfg:    cfg,
-		Psi:    make([]float64, g.NumPoints),
-		next:   make([]float64, g.NumPoints),
-		vn:     make([]float64, g.NumEdges()),
-		vnCorr: make([]float64, g.NumEdges()),
-		flux:   make([]float64, g.NumEdges()),
+		g:    g,
+		cfg:  cfg,
+		Psi:  make([]float64, g.NumPoints),
+		next: make([]float64, g.NumPoints),
+		vn:   make([]float64, g.NumEdges()),
+		flux: make([]float64, g.NumEdges()),
 	}
 	s.initFields()
 	if cfg.Dt <= 0 {
@@ -120,15 +126,29 @@ func New(g *grid.Grid, cfg Config) (*Solver, error) {
 	return s, nil
 }
 
-// initTables fills sign from the grid and coef from vn and dt.
+// initTables fills sign from the grid, and coef, upVel and upDonor from vn
+// and dt.
 func (s *Solver) initTables() {
 	g := s.g
 	s.sign = make([]float64, len(g.IncidentEdges))
+	s.upVel = make([]float64, len(g.IncidentEdges))
+	s.upDonor = make([]int32, len(g.IncidentEdges))
 	for p := 0; p < g.NumPoints; p++ {
 		for k := g.IncidentStart[p]; k < g.IncidentStart[p+1]; k++ {
+			e := g.IncidentEdges[k]
 			s.sign[k] = -1
-			if int(g.EdgeFrom[g.IncidentEdges[k]]) == p {
+			if int(g.EdgeFrom[e]) == p {
 				s.sign[k] = 1
+			}
+			// The donor is EdgeFrom when vn's sign bit is clear and EdgeTo
+			// otherwise, so a -0 velocity takes EdgeTo, as the edge-loop
+			// form's sign-bit select does. sign·(vn·ψ) is exactly
+			// (sign·vn)·ψ because sign is ±1.
+			v := s.vn[e]
+			s.upVel[k] = s.sign[k] * v
+			s.upDonor[k] = g.EdgeFrom[e]
+			if math.Signbit(v) {
+				s.upDonor[k] = g.EdgeTo[e]
 			}
 		}
 	}
@@ -196,53 +216,89 @@ func (s *Solver) Dt() float64 { return s.cfg.Dt }
 func (s *Solver) Steps() int { return s.steps }
 
 // LoopsPerStep returns the number of parallel loops issued per time step:
-// an edge loop and a point loop for the upwind pass, and for each corrective
-// pass an antidiffusive-velocity edge loop plus its edge and point loops.
-func (s *Solver) LoopsPerStep() int { return 2 + 3*s.cfg.Corrective }
+// the upwind point loop, and for each corrective pass its flux edge loop and
+// its point loop.
+func (s *Solver) LoopsPerStep() int { return 1 + 2*s.cfg.Corrective }
 
 // Step advances the field by one time step, dispatching every loop through
 // the supplied scheduler.
 func (s *Solver) Step(run sched.Scheduler) {
 	// Upwind pass with the physical velocities.
-	s.pass(run, s.vn, s.Psi, s.next)
+	s.upwind(run, s.Psi, s.next)
 	s.Psi, s.next = s.next, s.Psi
 
 	// Corrective passes with antidiffusive velocities.
 	for c := 0; c < s.cfg.Corrective; c++ {
-		s.antidiffusiveVelocities(run, s.Psi)
-		s.pass(run, s.vnCorr, s.Psi, s.next)
+		s.correctiveFluxes(run, s.Psi)
+		s.divergence(run, s.Psi, s.next)
 		s.Psi, s.next = s.next, s.Psi
 	}
 	s.steps++
 }
 
-// pass performs one donor-cell pass: an edge loop computing upwind fluxes of
-// field `from` under edge velocities v, then a point loop applying the
-// divergence into `to`. Each block is resliced to [begin, end) so the
-// compiler drops the bounds checks on the per-block arrays, and the loop
-// bodies capture only s and the pass's arguments, which keeps the closures
-// allocated per loop small.
-func (s *Solver) pass(run sched.Scheduler, v, from, to []float64) {
-	run.For(s.g.NumEdges(), func(w, begin, end int) {
-		g := s.g
-		v, fl := v[begin:end], s.flux[begin:end]
-		ea, eb := g.EdgeFrom[begin:end], g.EdgeTo[begin:end]
-		fl, ea, eb = fl[:len(v)], ea[:len(v)], eb[:len(v)]
-		for e, vn := range v {
-			// Donor-cell upwind flux from a to b: the donor is a when
-			// vn >= 0 and b otherwise. The sign bit of vn, spread into a
-			// mask, picks the index without a branch (the compiler keeps
-			// one for `if vn < 0`); in the corrective passes the velocity
-			// signs follow the field gradient, so a branch mispredicts.
-			// A -0 velocity picks b, but its flux is a zero either way, and
-			// a signed zero cannot change the point loop's sum: that starts
-			// at +0, and no sum of nonzero terms rounds to -0.
-			a, b := ea[e], eb[e]
-			m := int32(int64(math.Float64bits(vn)) >> 63)
-			fl[e] = vn * from[a^(m&(a^b))]
+// upwind performs the donor-cell pass under the physical velocities as one
+// point loop: each point sums upVel·from[upDonor] over its CSR slots, in the
+// order the edge-flux form sums sign·flux, and applies the divergence into
+// `to`. Each block is resliced to [begin, end) so the compiler drops the
+// bounds checks on the per-block arrays, and the loop bodies capture only s
+// and the pass's arguments, which keeps the closures allocated per loop
+// small.
+func (s *Solver) upwind(run sched.Scheduler, from, to []float64) {
+	run.For(s.g.NumPoints, func(w, begin, end int) {
+		g, sv, dn, dt := s.g, s.upVel, s.upDonor, s.cfg.Dt
+		old, out, area := from[begin:end], to[begin:end], g.Area[begin:end]
+		ends := g.IncidentStart[begin+1 : end+1]
+		old, out, area = old[:len(ends)], out[:len(ends)], area[:len(ends)]
+		lo := g.IncidentStart[begin]
+		for i, hi := range ends {
+			v, d := sv[lo:hi], dn[lo:hi]
+			lo = hi
+			d = d[:len(v)]
+			// The conversion rounds the product before the add, so no
+			// target fuses them into one multiply-add: the edge-flux form
+			// rounds the flux when it stores it.
+			div := 0.0
+			for k, x := range v {
+				div += float64(x * from[d[k]])
+			}
+			out[i] = old[i] - dt*div/area[i]
 		}
 	})
+}
 
+// correctiveFluxes computes, in one edge loop, each edge's MPDATA corrective
+// velocity from the intermediate field psi (the classic |C|(1-|C|) gradient
+// correction with unit dual face and unit area, the factor |C|-C²
+// precomputed in coef) and its donor-cell flux into s.flux.
+func (s *Solver) correctiveFluxes(run sched.Scheduler, psi []float64) {
+	run.For(s.g.NumEdges(), func(w, begin, end int) {
+		g, dt, eps := s.g, s.cfg.Dt, s.cfg.Epsilon
+		cf, fl := s.coef[begin:end], s.flux[begin:end]
+		ea, eb := g.EdgeFrom[begin:end], g.EdgeTo[begin:end]
+		fl, ea, eb = fl[:len(cf)], ea[:len(cf)], eb[:len(cf)]
+		for e, c := range cf {
+			pa, pb := psi[ea[e]], psi[eb[e]]
+			num := pb - pa
+			den := pb + pa + eps
+			vc := c * (num / den) / dt
+			// Donor-cell upwind flux from a to b: the donor is a when vc's
+			// sign bit is clear and b otherwise. The sign bit, spread into
+			// a mask, selects between the two loaded values without a
+			// branch; the velocity signs follow the field gradient, so a
+			// branch mispredicts. A -0 velocity picks b, but its flux is a
+			// zero either way, and a signed zero cannot change the point
+			// loop's sum: that starts at +0, and no sum of nonzero terms
+			// rounds to -0.
+			m := uint64(int64(math.Float64bits(vc)) >> 63)
+			ba, bb := math.Float64bits(pa), math.Float64bits(pb)
+			fl[e] = vc * math.Float64frombits(ba^(m&(ba^bb)))
+		}
+	})
+}
+
+// divergence is a corrective pass's point loop: it applies the divergence
+// of s.flux to field `from` into `to`.
+func (s *Solver) divergence(run sched.Scheduler, from, to []float64) {
 	run.For(s.g.NumPoints, func(w, begin, end int) {
 		g, flux, sign, dt := s.g, s.flux, s.sign, s.cfg.Dt
 		old, out, area := from[begin:end], to[begin:end], g.Area[begin:end]
@@ -260,25 +316,6 @@ func (s *Solver) pass(run sched.Scheduler, v, from, to []float64) {
 				div += sg[k] * flux[ei]
 			}
 			out[i] = old[i] - dt*div/area[i]
-		}
-	})
-}
-
-// antidiffusiveVelocities computes the MPDATA corrective velocities from the
-// intermediate field psi into vnCorr (an edge loop): the classic |C|(1-|C|)
-// gradient correction (unit dual face and unit area), with the factor
-// |C|-C² precomputed in coef.
-func (s *Solver) antidiffusiveVelocities(run sched.Scheduler, psi []float64) {
-	run.For(s.g.NumEdges(), func(w, begin, end int) {
-		g, dt, eps := s.g, s.cfg.Dt, s.cfg.Epsilon
-		cf, vc := s.coef[begin:end], s.vnCorr[begin:end]
-		ea, eb := g.EdgeFrom[begin:end], g.EdgeTo[begin:end]
-		vc, ea, eb = vc[:len(cf)], ea[:len(cf)], eb[:len(cf)]
-		for e, c := range cf {
-			pa, pb := psi[ea[e]], psi[eb[e]]
-			num := pb - pa
-			den := pb + pa + eps
-			vc[e] = c * (num / den) / dt
 		}
 	})
 }
@@ -333,20 +370,21 @@ func (s *Solver) Run(run sched.Scheduler, n int) {
 }
 
 // Clone returns a copy of the solver (same grid, copied field, its own
-// scratch arrays; the read-only sign and coef tables are shared), used to
-// run the same initial state under different schedulers.
+// scratch arrays; the read-only sign, coef, upVel and upDonor tables are
+// shared), used to run the same initial state under different schedulers.
 func (s *Solver) Clone() *Solver {
 	c := &Solver{
-		g:      s.g,
-		cfg:    s.cfg,
-		Psi:    append([]float64(nil), s.Psi...),
-		next:   make([]float64, len(s.next)),
-		vn:     append([]float64(nil), s.vn...),
-		vnCorr: make([]float64, len(s.vnCorr)),
-		flux:   make([]float64, len(s.flux)),
-		sign:   s.sign,
-		coef:   s.coef,
-		steps:  s.steps,
+		g:       s.g,
+		cfg:     s.cfg,
+		Psi:     append([]float64(nil), s.Psi...),
+		next:    make([]float64, len(s.next)),
+		vn:      append([]float64(nil), s.vn...),
+		flux:    make([]float64, len(s.flux)),
+		sign:    s.sign,
+		coef:    s.coef,
+		upVel:   s.upVel,
+		upDonor: s.upDonor,
+		steps:   s.steps,
 	}
 	return c
 }

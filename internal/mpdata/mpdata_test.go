@@ -2,6 +2,7 @@ package mpdata
 
 import (
 	"math"
+	"os"
 	"runtime"
 	"testing"
 
@@ -9,7 +10,18 @@ import (
 	"loopsched/internal/grid"
 	"loopsched/internal/omp"
 	"loopsched/internal/sched"
+	"loopsched/internal/spin"
 )
+
+func TestMain(m *testing.M) {
+	// Some runtimes below have more workers than a small test machine has
+	// cores, and the production spin thresholds (tuned for dedicated pinned
+	// workers) then waste milliseconds per wait. Shrink them; the kernels
+	// under test are unchanged.
+	spin.ActiveSpins = 1 << 6
+	spin.YieldThreshold = 1 << 8
+	os.Exit(m.Run())
+}
 
 func smallGrid(t *testing.T) *grid.Grid {
 	t.Helper()
@@ -67,11 +79,13 @@ func TestLoopsPerStepCountsForCalls(t *testing.T) {
 }
 
 // referenceStep advances s by one time step sequentially, with the plain
-// branching loop bodies: the upwind flux branches on the velocity sign, the
-// point loop on which end of the edge the point is, and the antidiffusive
-// factor |C|-C² is computed per edge from vn. The solver's kernels must match
-// it bit for bit.
-func referenceStep(s *Solver) {
+// branching loop bodies: every pass is an edge loop writing fluxes and a
+// point loop gathering them, the upwind flux branches on the velocity sign,
+// the point loop on which end of the edge the point is, and the
+// antidiffusive factor |C|-C² is computed per edge from vn into vnCorr (one
+// value per edge), which holds the last corrective pass's velocities on
+// return. The solver's kernels must match it bit for bit.
+func referenceStep(s *Solver, vnCorr []float64) {
 	g, dt, eps := s.g, s.cfg.Dt, s.cfg.Epsilon
 	pass := func(v, from, to []float64) {
 		for e := 0; e < g.NumEdges(); e++ {
@@ -105,9 +119,9 @@ func referenceStep(s *Solver) {
 			num := psi[b] - psi[a]
 			den := psi[b] + psi[a] + eps
 			c := s.vn[e] * dt
-			s.vnCorr[e] = (math.Abs(c) - c*c) * (num / den) / dt
+			vnCorr[e] = (math.Abs(c) - c*c) * (num / den) / dt
 		}
-		pass(s.vnCorr, s.Psi, s.next)
+		pass(vnCorr, s.Psi, s.next)
 		s.Psi, s.next = s.next, s.Psi
 	}
 	s.steps++
@@ -116,7 +130,9 @@ func referenceStep(s *Solver) {
 // signedZeroVelocities gives every 11th edge a -0 velocity with a negative
 // field value at its from end and every 13th a +0 velocity, so the donor
 // pick sees zero velocities of both signs whose two candidate fluxes are
-// zeros of opposite sign.
+// zeros of opposite sign. Those edges' antidiffusive factor is +0, so their
+// corrective velocities are zeros too, of the sign of the field gradient,
+// and the corrective flux loop's donor select sees -0 as well.
 func signedZeroVelocities(s *Solver) {
 	for e := range s.vn {
 		switch {
@@ -159,12 +175,25 @@ func TestKernelsMatchReferenceBitwise(t *testing.T) {
 				tc.prepare(base)
 			}
 			ref := base.Clone()
+			vnCorr := make([]float64, tc.g.NumEdges())
+			negZero := 0
 			for i := 0; i < steps; i++ {
-				referenceStep(ref)
+				referenceStep(ref, vnCorr)
+				for _, v := range vnCorr {
+					if v == 0 && math.Signbit(v) {
+						negZero++
+					}
+				}
+			}
+			if tc.prepare != nil && negZero == 0 {
+				t.Errorf("%s, Corrective %d: no -0 corrective velocity in %d steps", tc.name, corrective, steps)
 			}
 			for _, rt := range []sched.Scheduler{
 				sched.NewSequential(),
 				core.New(core.Config{Workers: 2, LockOSThread: false}),
+				core.New(core.Config{Workers: 3, LockOSThread: false}),
+				core.New(core.Config{Workers: 2, Steal: true, LockOSThread: false}),
+				omp.New(omp.Config{Workers: 2, Schedule: omp.Dynamic, Chunk: 64, LockOSThread: false}),
 			} {
 				s := base.Clone()
 				s.Run(rt, steps)

@@ -41,9 +41,6 @@ var sinkAtomic atomic.Uint64
 // defeating dead-code elimination from concurrently executing loop bodies.
 func Consume(v uint64) { sinkAtomic.Add(v) }
 
-// Consumed returns the total consumed so far (used only by tests).
-func Consumed() uint64 { return sinkAtomic.Load() }
-
 // Work is a calibrated unit-cost iteration body.
 type Work struct {
 	// UnitsPerIter is the number of kernel units executed per iteration.
