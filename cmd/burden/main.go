@@ -51,8 +51,14 @@ func main() {
 
 	fmt.Printf("Reproducing Table 1 on %d workers (GOMAXPROCS=%d, NumCPU=%d)\n",
 		*workers, runtime.GOMAXPROCS(0), runtime.NumCPU())
-	fmt.Printf("sweep: %d points, %v .. %v of sequential work over %d-iteration loops, %d reps\n\n",
-		*points, *minTotal, *maxTotal, *iterations, *reps)
+	// The sweep runs whole kernel units per iteration, so its totals and
+	// point count can differ from the flags; print what is measured.
+	sweep := bench.BurdenSweep(opt)
+	total := func(i int) time.Duration {
+		return time.Duration(sweep.TotalNs(i)).Round(100 * time.Nanosecond)
+	}
+	fmt.Printf("sweep: %d points (%d requested), %v .. %v of sequential work over %d-iteration loops, %d reps\n\n",
+		len(sweep.Works), *points, total(0), total(len(sweep.Works)-1), sweep.Iterations, *reps)
 
 	start := time.Now()
 	var rows []bench.BurdenResult

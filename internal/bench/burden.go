@@ -86,6 +86,14 @@ type BurdenResult struct {
 // BurdenUs returns the estimated burden in microseconds.
 func (r BurdenResult) BurdenUs() float64 { return r.Fit.D * 1e6 }
 
+// BurdenSweep returns the cost sweep MeasureBurden runs for opt. The kernel
+// unit is calibrated once per process, so every scheduler measured in one
+// process runs the same sweep.
+func BurdenSweep(opt BurdenOptions) workload.CostSweep {
+	opt.normalize()
+	return workload.NewCostSweep(opt.Iterations, opt.MinTotal, opt.MaxTotal, opt.Points)
+}
+
 // MeasureBurden runs the granularity sweep for one scheduler and fits the
 // Amdahl burden model, reproducing one row of Table 1.
 func MeasureBurden(name string, opt BurdenOptions) (BurdenResult, error) {
@@ -96,7 +104,7 @@ func MeasureBurden(name string, opt BurdenOptions) (BurdenResult, error) {
 	}
 	defer s.Close()
 
-	sweep := workload.NewCostSweep(opt.Iterations, opt.MinTotal, opt.MaxTotal, opt.Points)
+	sweep := BurdenSweep(opt)
 	res := BurdenResult{Scheduler: name, Workers: s.P(), PaperBurdenUs: PaperBurdens[name]}
 
 	var fitPoints []amdahl.Point

@@ -7,8 +7,7 @@ package bench
 //
 //   - mpdata:    the MPDATA donor-cell edge loop (Figure 2): an upwind flux
 //                computation per edge of the paper-sized unstructured grid —
-//                one gather of the field per edge, its donor picked without
-//                a branch;
+//                one gather of the field per edge from a donor table;
 //   - grid:      the MPDATA point loop: a CSR divergence gather over each
 //                point's incident edges — irregular, variable-degree,
 //                memory-bound;
@@ -28,14 +27,15 @@ package bench
 //
 // The bodies are lean so that what a request measures is the gathers, not
 // bookkeeping: one sequential sweep at perfbench's loopd-http sizes costs
-// about 41 µs (mpdata), 113 µs (grid), 74 µs (linreg) and 57 µs
-// (mapreduce) on one core of a 2-vCPU Xeon (Go 1.24; medians of
-// BenchmarkServedKernels), against 87, 181, 110 and 94 µs for the plain
+// about 13 µs (mpdata), 35 µs (grid), 40 µs (linreg) and 33 µs
+// (mapreduce) on one core of a 2-vCPU Xeon (Go 1.24; medians of 5 runs of
+// BenchmarkServedKernels), against 69, 122, 60 and 244 µs for the plain
 // branching reference bodies in kernels_test.go, which
 // TestServedKernelsMatchReferenceBitwise holds every result equal to bit for
-// bit. The only tables are per-CSR-slot facts of the grid and the fixed
-// velocity field; nothing derived from the field psi is tabulated, and
-// nothing is kept between requests.
+// bit. The only tables are per-CSR-slot and per-edge facts of the grid and
+// the fixed velocity field, the shape of the solver's upwind tables;
+// nothing derived from the field psi is tabulated, and nothing is kept
+// between requests.
 
 import (
 	"fmt"
@@ -56,11 +56,16 @@ type kernelState struct {
 	psi []float64 // advected field after a few developed MPDATA steps
 	vn  []float64 // prescribed edge velocities (uniform wind · edge normal)
 
-	// For each CSR slot k of g.IncidentEdges, belonging to point p: nbr[k]
-	// is the edge's other endpoint and sv[k] its velocity signed outward
-	// from p (+vn when p is the edge's EdgeFrom end, -vn otherwise).
-	nbr []int32
-	sv  []float64
+	// For each CSR slot k of g.IncidentEdges, belonging to point p: sv[k]
+	// is the edge's velocity signed outward from p (+vn when p is the edge's
+	// EdgeFrom end, -vn otherwise) and slotDonor[k] the point whose value it
+	// carries: p for an outflow (sv[k]'s sign bit clear), the edge's other
+	// endpoint otherwise. edgeDonor[e] is edge e's upwind point: EdgeFrom
+	// when vn[e]'s sign bit is clear, EdgeTo otherwise. All three are fixed
+	// facts of the grid and the wind, like vn.
+	sv        []float64
+	slotDonor []int32
+	edgeDonor []int32
 
 	pts linreg.Dataset
 
@@ -95,15 +100,21 @@ func kernelInput() *kernelState {
 		for e := range kernels.vn {
 			kernels.vn[e] = 0.8*g.EdgeNX[e] + 0.6*g.EdgeNY[e]
 		}
-		kernels.nbr = make([]int32, len(g.IncidentEdges))
+		kernels.edgeDonor = make([]int32, g.NumEdges())
+		for e, v := range kernels.vn {
+			kernels.edgeDonor[e] = donor(v, g.EdgeFrom[e], g.EdgeTo[e])
+		}
 		kernels.sv = make([]float64, len(g.IncidentEdges))
+		kernels.slotDonor = make([]int32, len(g.IncidentEdges))
 		for p := 0; p < g.NumPoints; p++ {
 			for k := g.IncidentStart[p]; k < g.IncidentStart[p+1]; k++ {
 				ei := g.IncidentEdges[k]
-				kernels.nbr[k], kernels.sv[k] = g.EdgeTo[ei], kernels.vn[ei]
-				if int(g.EdgeTo[ei]) == p {
-					kernels.nbr[k], kernels.sv[k] = g.EdgeFrom[ei], -kernels.vn[ei]
+				nbr, v := g.EdgeTo[ei], kernels.vn[ei]
+				if int(nbr) == p {
+					nbr, v = g.EdgeFrom[ei], -v
 				}
+				kernels.sv[k] = v
+				kernels.slotDonor[k] = donor(v, int32(p), nbr)
 			}
 		}
 		// Develop the field with a few real solver steps so the served edge
@@ -138,12 +149,12 @@ func segment(lo, hi, size int) (b, e int) {
 	return b, min(b+hi-lo, size)
 }
 
-// donor returns a when x's sign bit is clear and b when it is set: the sign
-// bit, spread into a mask, picks the index without a branch, which would
-// mispredict on velocity signs that follow the grid's geometry.
+// donor returns a when x's sign bit is clear and b when it is set.
 func donor(x float64, a, b int32) int32 {
-	m := int32(int64(math.Float64bits(x)) >> 63)
-	return a ^ (m & (a ^ b))
+	if math.Signbit(x) {
+		return b
+	}
+	return a
 }
 
 func init() {
@@ -152,8 +163,8 @@ func init() {
 	// the total transported mass rate Σ|flux| over the requested range.
 	jobWorkloads["mpdata"] = func(p JobParams) jobs.Request {
 		ks := kernelInput()
-		g, psi, vn := ks.g, ks.psi, ks.vn
-		edges := g.NumEdges()
+		psi, vn, dn := ks.psi, ks.vn, ks.edgeDonor
+		edges := len(vn)
 		return jobs.Request{
 			N:           p.N,
 			Label:       "mpdata",
@@ -163,14 +174,13 @@ func init() {
 				for lo < hi {
 					b, e := segment(lo, hi, edges)
 					lo += e - b
-					v, ea, eb := vn[b:e], g.EdgeFrom[b:e], g.EdgeTo[b:e]
-					ea, eb = ea[:len(v)], eb[:len(v)]
+					v, d := vn[b:e], dn[b:e]
+					d = d[:len(v)]
 					for k, x := range v {
-						// The donor is EdgeFrom for x >= 0 and EdgeTo
-						// otherwise; a -0 velocity picks EdgeTo, but its
-						// flux is a zero either way, and adding a zero of
-						// either sign leaves a non-negative acc unchanged.
-						acc += math.Abs(x * psi[donor(x, ea[k], eb[k])])
+						// A -0 velocity's donor is EdgeTo, but its flux is
+						// a zero either way, and adding a zero of either
+						// sign leaves a non-negative acc unchanged.
+						acc += math.Abs(x * psi[d[k]])
 					}
 				}
 				return acc
@@ -185,7 +195,7 @@ func init() {
 	// squared flux divergences.
 	jobWorkloads["grid"] = func(p JobParams) jobs.Request {
 		ks := kernelInput()
-		g, psi, nbr, sv := ks.g, ks.psi, ks.nbr, ks.sv
+		g, psi, sv, dn := ks.g, ks.psi, ks.sv, ks.slotDonor
 		points := g.NumPoints
 		return jobs.Request{
 			N:           p.N,
@@ -200,19 +210,33 @@ func init() {
 					area = area[:len(ends)]
 					k0 := g.IncidentStart[b]
 					for i, k1 := range ends {
-						pt := int32(b + i)
-						v, nb := sv[k0:k1], nbr[k0:k1]
-						nb = nb[:len(v)]
+						v, d := sv[k0:k1], dn[k0:k1]
+						d = d[:len(v)]
 						k0 = k1
-						// An outflow (x > 0) takes its donor at pt, an
-						// inflow at the neighbour. (−v)·ψ is exactly
-						// −(v·ψ), so adding the outward-signed flux rounds
-						// like subtracting an inflow; a zero velocity adds
-						// a zero, which cannot change div: div starts at +0
-						// and never becomes −0.
-						div := 0.0
-						for k, x := range v {
-							div += x * psi[donor(x, pt, nb[k])]
+						// (−v)·ψ is exactly −(v·ψ), so adding the
+						// outward-signed flux rounds like subtracting an
+						// inflow; a zero velocity adds a zero, which cannot
+						// change div: div starts at +0 and never becomes
+						// −0. The conversion rounds each product before
+						// the add, as the reference does. Degrees 8 and 4,
+						// almost every point of the paper grid, sum the
+						// same terms in the same order without a loop.
+						var div float64
+						switch len(v) {
+						case 8:
+							v, d := (*[8]float64)(v), (*[8]int32)(d)
+							div = 0.0 + float64(v[0]*psi[d[0]]) + float64(v[1]*psi[d[1]]) +
+								float64(v[2]*psi[d[2]]) + float64(v[3]*psi[d[3]]) +
+								float64(v[4]*psi[d[4]]) + float64(v[5]*psi[d[5]]) +
+								float64(v[6]*psi[d[6]]) + float64(v[7]*psi[d[7]])
+						case 4:
+							v, d := (*[4]float64)(v), (*[4]int32)(d)
+							div = 0.0 + float64(v[0]*psi[d[0]]) + float64(v[1]*psi[d[1]]) +
+								float64(v[2]*psi[d[2]]) + float64(v[3]*psi[d[3]])
+						default:
+							for k, x := range v {
+								div += float64(x * psi[d[k]])
+							}
 						}
 						acc += div * div / area[i]
 					}

@@ -10,6 +10,16 @@
 // matters for the reproduction is the *shape of the loops* MPDATA runs over
 // the grid — an edge loop of ~16k very cheap iterations and point loops of
 // ~5.5k iterations — which the synthetic mesh preserves exactly.
+//
+// Edges are numbered by their lower endpoint, so the edges of a point come
+// right after those of the point before it. Points are numbered row by row,
+// so a static block of edges then covers nearly the same stretch of points
+// as the static block of points with the same index: on the paper grid
+// 99.5% of edges go to the worker that owns their lower endpoint at P=2 and
+// 96.2% at P=8, against 67% and 17% with the diagonals numbered after all
+// lattice edges. A worker's edge loop then mostly reads the points its point
+// loops wrote and writes the edge values its point loops read, so those
+// stay in its own cache.
 package grid
 
 import (
@@ -27,7 +37,8 @@ type Grid struct {
 	// Area is the dual-cell area associated with each point.
 	Area []float64
 
-	// EdgeFrom and EdgeTo are the endpoints of each edge (from < to).
+	// EdgeFrom and EdgeTo are the endpoints of each edge (from < to), in
+	// non-decreasing order of EdgeFrom.
 	EdgeFrom, EdgeTo []int32
 	// EdgeNX and EdgeNY are the components of the edge normal (scaled by the
 	// face length of the dual cell boundary crossing the edge).
@@ -54,7 +65,7 @@ const (
 // two triangles, so edges are the horizontal, vertical and one diagonal
 // family. The mesh is then trimmed (diagonal edges removed from the end) to
 // the requested edge budget, if positive, producing an unstructured edge
-// set.
+// set, and the edges are renumbered by lower endpoint.
 func NewTriangulated(rows, cols, edgeBudget int) (*Grid, error) {
 	if rows < 2 || cols < 2 {
 		return nil, fmt.Errorf("grid: need at least a 2x2 mesh, got %dx%d", rows, cols)
@@ -123,6 +134,7 @@ func NewTriangulated(rows, cols, edgeBudget int) (*Grid, error) {
 		g.EdgeFrom = g.EdgeFrom[:edgeBudget]
 		g.EdgeTo = g.EdgeTo[:edgeBudget]
 	}
+	g.sortEdgesByFrom()
 	g.computeNormals()
 	g.buildAdjacency()
 	return g, nil
@@ -137,6 +149,27 @@ func NewPaperGrid() (*Grid, error) {
 		return nil, fmt.Errorf("grid: internal error, %d×%d != %d", rows, cols, PaperPoints)
 	}
 	return NewTriangulated(rows, cols, PaperEdges)
+}
+
+// sortEdgesByFrom renumbers the edges by their lower endpoint EdgeFrom, with
+// a stable counting sort (edges sharing EdgeFrom keep their order); the
+// package doc says why.
+func (g *Grid) sortEdgesByFrom() {
+	start := make([]int32, g.NumPoints+1)
+	for _, a := range g.EdgeFrom {
+		start[a+1]++
+	}
+	for p := 0; p < g.NumPoints; p++ {
+		start[p+1] += start[p]
+	}
+	from := make([]int32, len(g.EdgeFrom))
+	to := make([]int32, len(g.EdgeTo))
+	for e, a := range g.EdgeFrom {
+		k := start[a]
+		start[a]++
+		from[k], to[k] = a, g.EdgeTo[e]
+	}
+	g.EdgeFrom, g.EdgeTo = from, to
 }
 
 // computeNormals derives an edge "normal" (direction scaled by an effective

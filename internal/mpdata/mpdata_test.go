@@ -13,6 +13,10 @@ import (
 	"loopsched/internal/spin"
 )
 
+// prodSpins and prodYield are the production spin thresholds, which
+// BenchmarkMPDATALoops restores for its parallel runs.
+var prodSpins, prodYield = spin.ActiveSpins, spin.YieldThreshold
+
 func TestMain(m *testing.M) {
 	// Some runtimes below have more workers than a small test machine has
 	// cores, and the production spin thresholds (tuned for dedicated pinned
@@ -154,9 +158,28 @@ func TestKernelsMatchReferenceBitwise(t *testing.T) {
 		prepare func(*Solver)
 	}
 	small := smallGrid(t)
+	// An edge budget just above the lattice minimum keeps the first 30
+	// diagonals only, so the trimmed grid has points of degree 8 and 4,
+	// which the point loops sum without a loop, and of degrees 2, 3, 5 and
+	// 6, which they sum with one.
+	const rows, cols = 12, 14
+	trimmed, err := grid.NewTriangulated(rows, cols, rows*(cols-1)+cols*(rows-1)+30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	degrees := map[int]bool{}
+	for p := 0; p < trimmed.NumPoints; p++ {
+		degrees[trimmed.Degree(p)] = true
+	}
+	for _, d := range []int{2, 3, 4, 5, 6, 8} {
+		if !degrees[d] {
+			t.Fatalf("trimmed grid has no point of degree %d (degrees %v)", d, degrees)
+		}
+	}
 	cases := []refCase{
 		{"small grid", small, nil},
 		{"small grid with signed zero velocities", small, signedZeroVelocities},
+		{"trimmed grid with mixed degrees", trimmed, nil},
 	}
 	if !testing.Short() {
 		g, err := grid.NewPaperGrid()
@@ -377,5 +400,63 @@ func TestPaperGridStep(t *testing.T) {
 	m1 := s.Mass(seq)
 	if math.Abs(m1-m0) > 1e-9*math.Abs(m0) {
 		t.Errorf("mass drift on the paper grid: %v -> %v", m0, m1)
+	}
+}
+
+// BenchmarkMPDATALoops times each loop of a step alone on the paper grid, in
+// µs per loop: the upwind point loop, a corrective pass's flux edge loop and
+// its divergence point loop, sequentially and on a 2-worker core team
+// configured like BenchmarkFigure2_MPDATA's fine-grain-tree (threads locked,
+// production spin thresholds). BenchmarkFigure2_MPDATA times whole steps;
+// this one names the loop a kernel change moved. A loop run alone does not
+// show what the edge numbering saves between loops: a worker's edge loop
+// reading the points its point loop has just written.
+func BenchmarkMPDATALoops(b *testing.B) {
+	g, err := grid.NewPaperGrid()
+	if err != nil {
+		b.Fatal(err)
+	}
+	base, err := New(g, Config{Corrective: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Two steps develop the field.
+	base.Run(sched.NewSequential(), 2)
+	loops := []struct {
+		name string
+		run  func(s *Solver, r sched.Scheduler)
+	}{
+		{"upwind", func(s *Solver, r sched.Scheduler) { s.upwind(r, s.Psi, s.next) }},
+		{"flux", func(s *Solver, r sched.Scheduler) { s.correctiveFluxes(r, s.Psi) }},
+		{"divergence", func(s *Solver, r sched.Scheduler) { s.divergence(r, s.Psi, s.next) }},
+	}
+	runtimes := []struct {
+		name string
+		new  func() sched.Scheduler
+	}{
+		{"sequential", func() sched.Scheduler { return sched.NewSequential() }},
+		{"core-2", func() sched.Scheduler { return core.New(core.Config{Workers: 2, LockOSThread: true}) }},
+	}
+	for _, rt := range runtimes {
+		for _, l := range loops {
+			b.Run(rt.name+"/"+l.name, func(b *testing.B) {
+				spins, yield := spin.ActiveSpins, spin.YieldThreshold
+				spin.ActiveSpins, spin.YieldThreshold = prodSpins, prodYield
+				defer func() { spin.ActiveSpins, spin.YieldThreshold = spins, yield }()
+				r := rt.new()
+				defer r.Close()
+				s := base.Clone()
+				// A clone's flux is zero; the divergence loop reads a
+				// corrective flux of the developed field.
+				s.correctiveFluxes(r, s.Psi)
+				l.run(s, r) // warm up
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					l.run(s, r)
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N), "us/loop")
+			})
+		}
 	}
 }

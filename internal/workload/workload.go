@@ -130,15 +130,23 @@ type CostSweep struct {
 
 // NewCostSweep builds a cost sweep of `points` loops over `iterations`
 // iterations whose total sequential durations range geometrically from
-// minTotal to maxTotal.
+// minTotal to maxTotal, in whole units of the calibrated kernel.
 func NewCostSweep(iterations int, minTotal, maxTotal time.Duration, points int) CostSweep {
+	return costSweep(iterations, minTotal, maxTotal, points, CalibrateUnit())
+}
+
+// costSweep is NewCostSweep for a kernel unit of unitNs nanoseconds. Each
+// point's units per iteration are rounded to nearest, except the first
+// point's, which are rounded up so the sweep starts at minTotal or above.
+// Targets that round to the units of the point before them are dropped, so
+// a coarse unit can yield fewer than `points` points.
+func costSweep(iterations int, minTotal, maxTotal time.Duration, points int, unitNs float64) CostSweep {
 	if iterations < 1 {
 		iterations = 1
 	}
 	if points < 2 {
 		points = 2
 	}
-	unitNs := CalibrateUnit()
 	lo := float64(minTotal.Nanoseconds())
 	hi := float64(maxTotal.Nanoseconds())
 	if lo <= 0 {
@@ -152,12 +160,13 @@ func NewCostSweep(iterations int, minTotal, maxTotal time.Duration, points int) 
 	total := lo
 	prevUnits := 0
 	for i := 0; i < points; i++ {
-		perIterNs := total / float64(iterations)
-		units := int(perIterNs / unitNs)
-		if units < 1 {
-			units = 1
+		perIter := total / float64(iterations) / unitNs
+		units := int(math.Round(perIter))
+		if i == 0 {
+			units = int(math.Ceil(perIter))
 		}
-		if units != prevUnits {
+		units = max(units, 1)
+		if units > prevUnits {
 			s.Works = append(s.Works, Work{UnitsPerIter: units, NsPerIter: unitNs * float64(units)})
 			prevUnits = units
 		}
@@ -165,6 +174,10 @@ func NewCostSweep(iterations int, minTotal, maxTotal time.Duration, points int) 
 	}
 	return s
 }
+
+// TotalNs returns the calibrated sequential duration, in nanoseconds, of
+// the sweep's i-th loop.
+func (s CostSweep) TotalNs(i int) float64 { return s.Works[i].SequentialNs(s.Iterations) }
 
 // Sweep describes a granularity sweep for the burden micro-benchmark: a
 // fixed per-iteration cost and a set of iteration counts chosen so the total

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -111,5 +113,47 @@ func TestNewSweepShape(t *testing.T) {
 	d := NewSweep(100, time.Millisecond, time.Microsecond, 1)
 	if len(d.Counts) < 2 {
 		t.Errorf("degenerate sweep: %v", d.Counts)
+	}
+}
+
+func TestCostSweepRoundsToNearestFromMinTotal(t *testing.T) {
+	units := func(s CostSweep) []int {
+		var u []int
+		for _, w := range s.Works {
+			u = append(u, w.UnitsPerIter)
+		}
+		return u
+	}
+	// Targets of 1.67, 16.7 and 167 units per iteration: the first rounds
+	// up, the others to nearest (rounding down gave 1, 16, 166).
+	s := costSweep(1, 10*time.Nanosecond, 1000*time.Nanosecond, 3, 6)
+	if got, want := units(s), []int{2, 17, 167}; !reflect.DeepEqual(got, want) {
+		t.Errorf("units per iteration %v, want %v", got, want)
+	}
+	// Targets of 1, 1.41, 2, 2.83 and 4 units: 1.41 rounds like the point
+	// before it and is dropped.
+	s = costSweep(1, 100*time.Nanosecond, 400*time.Nanosecond, 5, 100)
+	if got, want := units(s), []int{1, 2, 3, 4}; !reflect.DeepEqual(got, want) {
+		t.Errorf("units per iteration %v, want %v", got, want)
+	}
+	// cmd/burden's defaults with a 2 ns unit: 20 µs over 4096 iterations is
+	// 2.44 units per iteration, so the first loop runs 3 units (24.6 µs),
+	// not 2 (16.4 µs).
+	minTotal, maxTotal := 20*time.Microsecond, 20*time.Millisecond
+	s = costSweep(4096, minTotal, maxTotal, 14, 2)
+	if len(s.Works) > 14 || len(s.Works) < 2 {
+		t.Fatalf("sweep has %d points, want 2..14", len(s.Works))
+	}
+	first, last := s.TotalNs(0), s.TotalNs(len(s.Works)-1)
+	if lo := float64(minTotal.Nanoseconds()); first < lo || first >= lo+4096*2 {
+		t.Errorf("first loop totals %.0f ns, want within one unit per iteration above %.0f", first, lo)
+	}
+	if hi := float64(maxTotal.Nanoseconds()); math.Abs(last-hi) > 4096*2/2 {
+		t.Errorf("last loop totals %.0f ns, want within half a unit per iteration of %.0f", last, hi)
+	}
+	for i := 1; i < len(s.Works); i++ {
+		if s.Works[i].UnitsPerIter <= s.Works[i-1].UnitsPerIter {
+			t.Fatalf("units per iteration not increasing: %v", units(s))
+		}
 	}
 }
